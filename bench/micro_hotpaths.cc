@@ -1,7 +1,8 @@
 /**
  * Microbenchmarks (google-benchmark) of the ASK hot paths: hashing,
  * packet encode/decode, receive-window operations, packet building,
- * the full switch-program pass, and host-side aggregation.
+ * the full switch-program pass, host-side aggregation, the event core's
+ * timer arm/cancel cycle and a task's region fetch and release.
  */
 #include <benchmark/benchmark.h>
 
@@ -266,6 +267,63 @@ BM_TraceRecord(benchmark::State& state)
     }
 }
 BENCHMARK(BM_TraceRecord);
+
+/**
+ * The reliability path's timer cycle, per DATA packet: the ACK of the
+ * packet sent one window earlier cancels that packet's retransmission
+ * timer before it fires, the next packet arms a fresh 100 us timer, and
+ * its delivery event runs. As in DataChannel, no timer ever fires.
+ */
+void
+BM_SimTimerArmCancel(benchmark::State& state)
+{
+    constexpr std::size_t kWindow = 64;
+    sim::Simulator simulator;
+    std::vector<sim::EventId> timers(kWindow, sim::kInvalidEvent);
+    std::size_t seq = 0;
+    std::uint64_t acked = 0;
+    for (auto _ : state) {
+        sim::EventId& timer = timers[seq++ % kWindow];
+        simulator.cancel(timer);
+        timer = simulator.schedule_after(100'000, [] {});
+        simulator.schedule_after(1'000, [&acked] { ++acked; });
+        simulator.step();
+    }
+    benchmark::DoNotOptimize(acked);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimTimerArmCancel);
+
+/**
+ * The end of one small task on the control plane: allocate a region of
+ * 512 aggregators per AA, 64 tuples land in it, then the receiver's
+ * final fetch drains both shadow copies and the region is released.
+ */
+void
+BM_RegionFetchRelease(benchmark::State& state)
+{
+    sim::Simulator simulator;
+    net::Network network(simulator);
+    pisa::PisaSwitch sw(network);
+    core::AskConfig cfg;
+    cfg.max_hosts = 2;
+    cfg.channels_per_host = 1;
+    core::AskSwitchProgram program(cfg, sw);
+    core::AskSwitchController controller(program);
+    pisa::RegisterArray* aa0 = sw.pipeline().find_array("aa_0");
+    std::uint64_t fetched = 0;
+    for (auto _ : state) {
+        auto region = controller.allocate(1, 512, core::ReduceOp::kAdd);
+        for (std::uint32_t i = 0; i < 64; ++i)
+            aa0->cp_write(region->base + 8 * i, (std::uint64_t{i + 1} << 32) | i);
+        for (std::uint32_t copy = 0; copy < 2; ++copy)
+            fetched += controller.fetch(1, copy, /*clear=*/true).size();
+        controller.release(1);
+    }
+    benchmark::DoNotOptimize(fetched);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RegionFetchRelease);
 
 /** Console reporter that also captures every run into the JSON report. */
 class JsonCaptureReporter : public benchmark::ConsoleReporter

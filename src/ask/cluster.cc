@@ -676,12 +676,8 @@ AskCluster::clear_active_regions()
 {
     for (const auto& [task, info] : active_tasks_) {
         for (auto& p : programs_) {
-            if (p->find_task(task) == nullptr)
-                continue;
-            p->reset_epoch(task);
-            p->read_region(task, 0, /*clear=*/true);
-            if (config_.ask.shadow_copies)
-                p->read_region(task, 1, /*clear=*/true);
+            if (p->find_task(task) != nullptr)
+                p->wipe_region(task);
         }
     }
 }

@@ -93,12 +93,8 @@ AskSwitchController::release(TaskId task)
         wal_->append(r);
     }
     epoch_slot_used_[it->second.first.epoch_slot] = false;
-    // Clear the aggregators and reset the swap epoch so a future task
-    // reusing this slice starts blank on copy 0 with epoch 0.
-    program_.reset_epoch(task);
-    program_.read_region(task, 0, /*clear=*/true);
-    if (program_.config().shadow_copies)
-        program_.read_region(task, 1, /*clear=*/true);
+    // A future task reusing this slice starts blank on copy 0, epoch 0.
+    program_.wipe_region(task);
     allocated_.erase(it);
     program_.remove_task(task);
 }

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdlib>
+#include <span>
 #include <string_view>
 #include <utility>
 
@@ -373,14 +374,6 @@ AskSwitchProgram::reliability_state_bits() const
     return bits;
 }
 
-void
-AskSwitchProgram::reset_epoch(TaskId task)
-{
-    const TaskRegion* r = find_task(task);
-    ASK_ASSERT(r != nullptr, "reset_epoch of unknown task ", task);
-    swap_epoch_->cp_write(r->epoch_slot, 0);
-}
-
 std::uint64_t
 AskSwitchProgram::region_scan_entries(TaskId task) const
 {
@@ -397,48 +390,56 @@ AskSwitchProgram::read_region(TaskId task, std::uint32_t copy, bool clear)
     ASK_ASSERT(copy == 0 || (config_.shadow_copies && copy == 1),
                "invalid shadow copy index");
 
-    std::uint32_t off = copy * config_.copy_size();
+    std::size_t first = copy * config_.copy_size() + r->base;
+    std::uint32_t bits = config_.part_bits;
     KvStream out;
 
     // Short-key AAs: one aggregator holds one whole tuple.
     for (std::uint32_t i = 0; i < config_.short_aas(); ++i) {
-        for (std::uint32_t idx = r->base; idx < r->base + r->len; ++idx) {
-            std::uint64_t word = aas_[i]->cp_read(off + idx);
-            std::uint32_t k = kpart(config_.part_bits, word);
-            if (k != 0) {
+        for (std::uint64_t word : aas_[i]->cp_view(first, r->len)) {
+            std::uint32_t k = kpart(bits, word);
+            if (k != 0)
                 out.push_back(KvTuple{
                     KeySpace::unpad(key_space_.decode_segment(k)),
-                    vpart(config_.part_bits, word)});
-            }
-            if (clear)
-                aas_[i]->cp_write(off + idx, 0);
+                    vpart(bits, word)});
         }
     }
 
     // Medium-key groups: m adjacent AAs share one key at a unified index.
+    std::uint32_t seg_bytes = config_.seg_bytes();
+    std::vector<std::span<const std::uint64_t>> segs(config_.medium_segments);
+    std::string padded(config_.medium_segments * seg_bytes, '\0');
     for (std::uint32_t g = 0; g < config_.medium_groups; ++g) {
         std::uint32_t mb = config_.medium_base(g);
-        for (std::uint32_t idx = r->base; idx < r->base + r->len; ++idx) {
-            std::uint64_t first = aas_[mb]->cp_read(off + idx);
-            if (kpart(config_.part_bits, first) != 0) {
-                std::string padded;
-                Value value = 0;
-                for (std::uint32_t j = 0; j < config_.medium_segments; ++j) {
-                    std::uint64_t word = aas_[mb + j]->cp_read(off + idx);
-                    padded += key_space_.decode_segment(
-                        kpart(config_.part_bits, word));
-                    if (j + 1 == config_.medium_segments)
-                        value = vpart(config_.part_bits, word);
-                }
-                out.push_back(KvTuple{KeySpace::unpad(padded), value});
-            }
-            if (clear) {
-                for (std::uint32_t j = 0; j < config_.medium_segments; ++j)
-                    aas_[mb + j]->cp_write(off + idx, 0);
-            }
+        for (std::uint32_t j = 0; j < config_.medium_segments; ++j)
+            segs[j] = aas_[mb + j]->cp_view(first, r->len);
+        for (std::uint32_t idx = 0; idx < r->len; ++idx) {
+            if (kpart(bits, segs[0][idx]) == 0)
+                continue;
+            for (std::uint32_t j = 0; j < config_.medium_segments; ++j)
+                key_space_.decode_segment_into(kpart(bits, segs[j][idx]),
+                                               &padded[j * seg_bytes]);
+            out.push_back(KvTuple{KeySpace::unpad(padded),
+                                  vpart(bits, segs.back()[idx])});
         }
     }
+
+    if (clear)
+        for (pisa::RegisterArray* aa : aas_)
+            aa->cp_clear(first, r->len);
     return out;
+}
+
+void
+AskSwitchProgram::wipe_region(TaskId task)
+{
+    const TaskRegion* r = find_task(task);
+    ASK_ASSERT(r != nullptr, "wipe_region of unknown task ", task);
+    swap_epoch_->cp_write(r->epoch_slot, 0);
+    std::uint32_t copies = config_.shadow_copies ? 2 : 1;
+    for (std::uint32_t copy = 0; copy < copies; ++copy)
+        for (pisa::RegisterArray* aa : aas_)
+            aa->cp_clear(copy * config_.copy_size() + r->base, r->len);
 }
 
 void

@@ -137,8 +137,12 @@ class AskSwitchProgram : public pisa::SwitchProgram
     /** Current swap epoch of a task (copy indicator = parity). */
     std::uint32_t current_epoch(TaskId task) const;
 
-    /** Reset a task's swap epoch to 0 (on region release). */
-    void reset_epoch(TaskId task);
+    /**
+     * Reset a task's region to blank: swap epoch 0 and every aggregator
+     * of every shadow copy zeroed, so a later task reusing the slice
+     * starts clean. Used on region release and recovery.
+     */
+    void wipe_region(TaskId task);
 
     /**
      * Multi-rack deployments (paper §7): restrict the aggregation (and
@@ -180,7 +184,8 @@ class AskSwitchProgram : public pisa::SwitchProgram
 
     /**
      * Slow-path read of one shadow copy of a task's region, decoding
-     * aggregators back into key-value tuples; optionally clears the copy.
+     * aggregators back into key-value tuples (short AAs in AA order,
+     * then medium groups, each by index); optionally clears the copy.
      * @param copy 0 or 1; with shadow copies disabled, pass 0.
      */
     KvStream read_region(TaskId task, std::uint32_t copy, bool clear);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <string_view>
 #include <utility>
 
@@ -15,18 +16,21 @@ namespace {
 /** Frame header: payload length + folded payload-hash check word. */
 constexpr std::size_t kFrameHeader = 8;
 
-void
-put_u32(std::string& out, std::uint32_t v)
+/** Little-endian stores into a buffer already sized for them. */
+char*
+store_u32(char* p, std::uint32_t v)
 {
     for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+        p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    return p + 4;
 }
 
-void
-put_u64(std::string& out, std::uint64_t v)
+char*
+store_u64(char* p, std::uint64_t v)
 {
     for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+        p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    return p + 8;
 }
 
 /** Bounds-checked little-endian reader over a payload slice. */
@@ -89,23 +93,41 @@ class Reader
     std::size_t off_ = 0;
 };
 
+/** Encoded payload size: kind byte, seven u32 fields (the last is the
+ *  kv count), then per kv a u32 key length, the key and a u64 value. */
+std::size_t
+payload_size(const WalRecord& r)
+{
+    std::size_t n = 1 + 7 * 4;
+    for (const auto& kv : r.kvs)
+        n += 4 + kv.first.size() + 8;
+    return n;
+}
+
+/** Encode `r`'s payload at `p`, which has payload_size(r) bytes. */
+void
+encode_payload(char* p, const WalRecord& r)
+{
+    *p++ = static_cast<char>(r.kind);
+    p = store_u32(p, r.task);
+    p = store_u32(p, r.channel);
+    p = store_u32(p, r.seq);
+    p = store_u32(p, r.arg0);
+    p = store_u32(p, r.arg1);
+    p = store_u32(p, r.arg2);
+    p = store_u32(p, static_cast<std::uint32_t>(r.kvs.size()));
+    for (const auto& [key, value] : r.kvs) {
+        p = store_u32(p, static_cast<std::uint32_t>(key.size()));
+        std::memcpy(p, key.data(), key.size());
+        p = store_u64(p + key.size(), value);
+    }
+}
+
 std::string
 encode_record(const WalRecord& r)
 {
-    std::string payload;
-    payload.push_back(static_cast<char>(r.kind));
-    put_u32(payload, r.task);
-    put_u32(payload, r.channel);
-    put_u32(payload, r.seq);
-    put_u32(payload, r.arg0);
-    put_u32(payload, r.arg1);
-    put_u32(payload, r.arg2);
-    put_u32(payload, static_cast<std::uint32_t>(r.kvs.size()));
-    for (const auto& [key, value] : r.kvs) {
-        put_u32(payload, static_cast<std::uint32_t>(key.size()));
-        payload.append(key);
-        put_u64(payload, value);
-    }
+    std::string payload(payload_size(r), '\0');
+    encode_payload(payload.data(), r);
     return payload;
 }
 
@@ -204,11 +226,16 @@ Wal::Wal(std::string name) : name_(std::move(name))
 void
 Wal::append(const WalRecord& record)
 {
-    std::string payload = encode_record(record);
-    std::uint64_t h = fnv1a64(payload);
-    put_u32(bytes_, static_cast<std::uint32_t>(payload.size()));
-    put_u32(bytes_, static_cast<std::uint32_t>(mix64(h)));
-    bytes_.append(payload);
+    // Frame in place: size the record, encode the payload behind the
+    // header slot, hash it where it lies, then patch the header.
+    std::size_t len = payload_size(record);
+    std::size_t off = bytes_.size();
+    bytes_.resize(off + kFrameHeader + len);
+    char* frame = bytes_.data() + off;
+    encode_payload(frame + kFrameHeader, record);
+    std::uint64_t h = fnv1a64(std::string_view(frame + kFrameHeader, len));
+    store_u32(frame, static_cast<std::uint32_t>(len));
+    store_u32(frame + 4, static_cast<std::uint32_t>(mix64(h)));
     record_hashes_.push_back(h);
     digest_ = mix64(digest_ ^ h);
     if (append_counter_ != nullptr)

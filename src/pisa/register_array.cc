@@ -52,6 +52,14 @@ RegisterArray::cp_clear(std::size_t first, std::size_t count)
               values_.begin() + static_cast<std::ptrdiff_t>(first + count), 0);
 }
 
+std::span<const std::uint64_t>
+RegisterArray::cp_view(std::size_t first, std::size_t count) const
+{
+    ASK_ASSERT(first <= values_.size() && count <= values_.size() - first,
+               "cp_view region out of range in '", name_, "'");
+    return std::span<const std::uint64_t>(values_).subspan(first, count);
+}
+
 std::size_t
 RegisterArray::sram_bytes() const
 {

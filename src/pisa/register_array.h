@@ -18,6 +18,7 @@
 #define ASK_PISA_REGISTER_ARRAY_H
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,8 +30,8 @@ class Stage;
  * An array of fixed-width registers living in one stage's SRAM.
  *
  * Data-plane access goes through rmw(); control-plane (slow path) access
- * through cp_read()/cp_write(), which are not subject to the per-pass
- * discipline (the real switch CPU accesses SRAM out of band).
+ * through cp_read()/cp_write() and the bulk cp_view()/cp_clear(), which
+ * are not subject to the per-pass discipline (the real switch CPU accesses SRAM out of band).
  */
 class RegisterArray
 {
@@ -71,6 +72,14 @@ class RegisterArray
 
     /** Control-plane bulk reset of a contiguous region to zero. */
     void cp_clear(std::size_t first, std::size_t count);
+
+    /**
+     * Control-plane bulk read of a contiguous region (no pass
+     * discipline): a read-only view of `count` registers starting at
+     * `first`, valid until the next write to this array.
+     */
+    std::span<const std::uint64_t> cp_view(std::size_t first,
+                                           std::size_t count) const;
 
     const std::string& name() const { return name_; }
     std::size_t size() const { return values_.size(); }

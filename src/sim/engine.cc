@@ -166,8 +166,8 @@ ParallelEngine::flush_outboxes()
 {
     // The merge order — islands by id, each outbox in emission order —
     // is a pure function of simulation content, never of the thread
-    // schedule, so the EventIds the target simulators hand out (and
-    // with them same-timestamp FIFO order) are reproducible.
+    // schedule, so the schedule sequence numbers the target simulators
+    // assign (and with them same-timestamp FIFO order) are reproducible.
     for (Island& island : islands_) {
         for (Post& p : island.outbox)
             islands_.at(p.to).sim->schedule_at(p.time, std::move(p.fn));

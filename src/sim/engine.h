@@ -19,9 +19,9 @@
  * another island, so running the windows island-parallel is sound. At
  * the window barrier, buffered posts are merged into their target
  * islands in (source island id, emission order) — a total order that
- * does not depend on thread scheduling — so EventId assignment, and
- * with it FIFO tie-breaking among equal timestamps, is identical at
- * any thread count. That is the whole bit-for-bit determinism
+ * does not depend on thread scheduling — so each target simulator's
+ * schedule sequence, and with it FIFO tie-breaking among equal
+ * timestamps, is identical at any thread count. That is the whole bit-for-bit determinism
  * argument; docs/CONCURRENCY.md spells it out with the invariants.
  *
  * Lookahead 0 (the default) declares the islands fully independent:

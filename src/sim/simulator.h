@@ -13,8 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "common/units.h"
@@ -24,10 +22,15 @@ namespace ask::sim {
 /** Simulated time in nanoseconds since simulation start. */
 using SimTime = Nanoseconds;
 
-/** Handle to a scheduled event, usable for cancellation. */
+/**
+ * Opaque handle to a scheduled event, usable for cancellation. It names
+ * a callback slot and that slot's generation, so a handle goes stale the
+ * moment its event fires or is cancelled, and never matches the event
+ * that later reuses the slot. Handles say nothing about event order.
+ */
 using EventId = std::uint64_t;
 
-/** Sentinel meaning "no event". */
+/** Sentinel meaning "no event"; no scheduled event ever has this id. */
 constexpr EventId kInvalidEvent = 0;
 
 /**
@@ -58,8 +61,9 @@ class Simulator
     EventId schedule_after(SimTime delay, std::function<void()> fn);
 
     /**
-     * Cancel a pending event. Returns true if the event was still pending
-     * (it will not fire); false if it already fired or was cancelled.
+     * Cancel a pending event: it is removed from the queue at once.
+     * Returns true if the event was still pending (it will not fire);
+     * false if it already fired, is running now, or was cancelled.
      */
     bool cancel(EventId id);
 
@@ -83,17 +87,17 @@ class Simulator
     SimTime run_before(SimTime end);
 
     /**
-     * Time of the earliest live (non-cancelled) pending event, written
-     * to `*t`. Returns false when the queue is drained. Cancelled heads
-     * are purged on the way, so the answer is exact, not a bound.
+     * Time of the earliest pending event, written to `*t`. Returns false
+     * when the queue is drained. Cancelled events have already left the
+     * queue, so the answer is exact, not a bound.
      */
-    bool next_event_time(SimTime* t);
+    bool next_event_time(SimTime* t) const;
 
     /** Execute at most one event. Returns false if the queue was empty. */
     bool step();
 
-    /** Number of events currently pending (including cancelled stubs). */
-    std::size_t pending() const { return queue_.size() - cancelled_live_; }
+    /** Number of events currently pending. */
+    std::size_t pending() const { return heap_.size(); }
 
     /** Total events executed since construction. */
     std::uint64_t executed() const { return executed_; }
@@ -110,34 +114,58 @@ class Simulator
     }
 
   private:
-    struct Entry
+    /**
+     * One queued event. `seq` is the schedule counter, so ordering by
+     * (time, seq) fires equal timestamps in scheduling order. The
+     * callback lives in slots_[slot], which keeps the heap entries small.
+     */
+    struct HeapEntry
     {
         SimTime time;
-        EventId id;
-        std::function<void()> fn;
+        std::uint64_t seq;
+        std::uint32_t slot;
+    };
+    static_assert(sizeof(HeapEntry) == 24);
 
-        bool
-        operator>(const Entry& o) const
-        {
-            // Earlier time first; FIFO among equal times via id order.
-            if (time != o.time)
-                return time > o.time;
-            return id > o.id;
-        }
+    static constexpr std::uint32_t kNotQueued = ~0u;
+
+    /** A callback slot, reused through free_slots_ once its event fires
+     *  or is cancelled; `generation` then moves on, staling old ids. */
+    struct Slot
+    {
+        std::function<void()> fn;
+        std::uint32_t generation = 1;
+        std::uint32_t heap_pos = kNotQueued;
     };
 
+    static bool
+    before(const HeapEntry& a, const HeapEntry& b)
+    {
+        return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+    }
+
     bool pop_and_run();
+    /** Unlink the entry at heap position `pos` and recycle its slot. */
+    void remove_at(std::size_t pos);
+    void release_slot(std::uint32_t slot);
+    /** Place `e` at the hole `pos`, moving it toward the root. */
+    void sift_up(std::size_t pos, HeapEntry e);
+    /** Place `e` at the hole `pos`, moving it toward the leaves. */
+    void sift_down(std::size_t pos, HeapEntry e);
+    void
+    place(std::size_t pos, const HeapEntry& e)
+    {
+        heap_[pos] = e;
+        slots_[e.slot].heap_pos = static_cast<std::uint32_t>(pos);
+    }
 
     SimTime now_ = 0;
-    EventId next_id_ = 1;
+    std::uint64_t next_seq_ = 0;
     std::function<void(SimTime)> after_event_;
     std::uint64_t executed_ = 0;
-    std::size_t cancelled_live_ = 0;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-    // Cancellation is implemented by remembering cancelled ids; entries
-    // are skipped when popped. The set stays small because ids are purged
-    // as their entries surface.
-    std::unordered_set<EventId> cancelled_;
+    std::vector<HeapEntry> heap_;  ///< binary min-heap on (time, seq)
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace ask::sim

@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "ask/cluster.h"
 #include "ask/controller.h"
 #include "ask/packet_builder.h"
 #include "common/random.h"
@@ -707,6 +708,231 @@ TEST_F(SwitchProgramTest, ReleaseClearsRegionAndEpoch)
     EXPECT_TRUE(program_.read_region(kTask, 0, false).empty());
     EXPECT_TRUE(program_.read_region(kTask, 1, false).empty());
     EXPECT_EQ(program_.current_epoch(kTask), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Region scan and wipe (control plane).
+// ---------------------------------------------------------------------------
+
+/** Regions of three tasks side by side, every aggregator of both copies
+ *  filled with a nonzero word derived from (aa, copy, index). */
+class RegionWipeTest : public SwitchProgramTest
+{
+  protected:
+    static constexpr TaskId kLeft = 11;
+    static constexpr TaskId kMid = 12;
+    static constexpr TaskId kRight = 13;
+
+    RegionWipeTest()
+    {
+        controller_.release(kTask);
+        for (TaskId t : {kLeft, kMid, kRight})
+            regions_[t] = *controller_.allocate(t, 8);
+        for (std::uint32_t aa = 0; aa < config_.num_aas; ++aa)
+            for (std::uint32_t copy = 0; copy < 2; ++copy)
+                for (std::uint32_t i = 0; i < config_.copy_size(); ++i)
+                    array(aa).cp_write(copy * config_.copy_size() + i,
+                                       fill_word(aa, copy, i));
+    }
+
+    pisa::RegisterArray&
+    array(std::uint32_t aa)
+    {
+        return *sw_.pipeline().find_array("aa_" + std::to_string(aa));
+    }
+
+    static std::uint64_t
+    fill_word(std::uint32_t aa, std::uint32_t copy, std::uint32_t i)
+    {
+        return (std::uint64_t{aa + 1} << 40) | (std::uint64_t{copy} << 32) |
+               (i + 1);
+    }
+
+    /** Every aggregator of `task`'s region, on both copies, reads 0
+     *  (wiped) or its fill word (untouched). */
+    void
+    expect_region(TaskId task, bool wiped)
+    {
+        const TaskRegion& r = regions_.at(task);
+        for (std::uint32_t aa = 0; aa < config_.num_aas; ++aa)
+            for (std::uint32_t copy = 0; copy < 2; ++copy)
+                for (std::uint32_t i = r.base; i < r.base + r.len; ++i)
+                    ASSERT_EQ(array(aa).cp_read(copy * config_.copy_size() + i),
+                              wiped ? 0 : fill_word(aa, copy, i))
+                        << "task " << task << " aa " << aa << " copy "
+                        << copy << " index " << i;
+    }
+
+    void
+    swap_epoch_of(TaskId task, std::uint64_t epoch)
+    {
+        sw_.pipeline().find_array("swap_epoch")->cp_write(
+            regions_.at(task).epoch_slot, epoch);
+    }
+
+    std::map<TaskId, TaskRegion> regions_;
+};
+
+TEST_F(RegionWipeTest, ReleaseZeroesEveryAggregatorOfBothCopies)
+{
+    ASSERT_GT(config_.medium_groups, 0u);
+    controller_.release(kMid);
+    expect_region(kMid, /*wiped=*/true);
+    expect_region(kLeft, /*wiped=*/false);
+    expect_region(kRight, /*wiped=*/false);
+}
+
+TEST_F(RegionWipeTest, WipeRegionZeroesTheRegionAndResetsTheEpoch)
+{
+    swap_epoch_of(kMid, 1);
+    program_.wipe_region(kMid);
+    EXPECT_EQ(program_.current_epoch(kMid), 0u);
+    expect_region(kMid, /*wiped=*/true);
+    expect_region(kLeft, /*wiped=*/false);
+    expect_region(kRight, /*wiped=*/false);
+    EXPECT_NE(program_.find_task(kMid), nullptr);  // still installed
+}
+
+TEST_F(RegionWipeTest, ReadRegionClearTouchesOnlyItsCopyAndRegion)
+{
+    program_.read_region(kMid, 1, /*clear=*/true);
+    const TaskRegion& r = regions_.at(kMid);
+    for (std::uint32_t aa = 0; aa < config_.num_aas; ++aa)
+        for (std::uint32_t i = r.base; i < r.base + r.len; ++i) {
+            EXPECT_EQ(array(aa).cp_read(i), fill_word(aa, 0, i));
+            EXPECT_EQ(array(aa).cp_read(config_.copy_size() + i), 0u);
+        }
+    expect_region(kLeft, /*wiped=*/false);
+    expect_region(kRight, /*wiped=*/false);
+}
+
+// A sender restarting mid-send makes the cluster discard every active
+// task's partial aggregates (clear_active_regions) before the replay.
+TEST(RegionWipeCluster, ReplayResetZeroesActiveRegionsOnly)
+{
+    ClusterConfig cc;
+    cc.num_hosts = 2;
+    cc.ask = test_config();
+    cc.ask.max_hosts = 2;
+    cc.ask.window = 16;
+    AskCluster cluster(cc);
+    KvStream stream;
+    for (int i = 0; i < 4000; ++i)  // short and medium keys
+        stream.push_back({(i % 2 ? "k" : "medium-") + std::to_string(i % 40), 1});
+    cluster.submit_task(1, HostId{0}, {{HostId{1}, stream}},
+                        {.region_len = 8});
+
+    AskSwitchProgram& program = cluster.program();
+    pisa::Pipeline& pipe = cluster.pisa_switch().pipeline();
+    const AskConfig& cfg = program.config();
+    while (program.find_task(1) == nullptr)  // allocation is an RPC
+        ASSERT_TRUE(cluster.simulator().step());
+    const TaskRegion region = *program.find_task(1);
+    auto word = [&](std::uint32_t aa, std::uint32_t copy, std::uint32_t i)
+        -> std::uint64_t {
+        return pipe.find_array("aa_" + std::to_string(aa))
+            ->cp_read(copy * cfg.copy_size() + i);
+    };
+    auto holds = [&](std::uint32_t first_aa, std::uint32_t last_aa) {
+        for (std::uint32_t aa = first_aa; aa < last_aa; ++aa)
+            for (std::uint32_t i = region.base; i < region.base + region.len;
+                 ++i)
+                if (word(aa, 0, i) != 0)
+                    return true;
+        return false;
+    };
+    // Run until both short and medium aggregators hold partials.
+    while (!(holds(0, cfg.short_aas()) && holds(cfg.short_aas(), cfg.num_aas)))
+        ASSERT_TRUE(cluster.simulator().step()) << "task ended first";
+
+    // Partials on the idle shadow copy too, and sentinels in the
+    // aggregators past the region, on both copies.
+    std::uint32_t outside = region.base + region.len;
+    ASSERT_LT(outside, cfg.copy_size());
+    for (std::uint32_t aa = 0; aa < cfg.num_aas; ++aa) {
+        pisa::RegisterArray* arr = pipe.find_array("aa_" + std::to_string(aa));
+        arr->cp_write(cfg.copy_size() + region.base, 0x1234500000007ull);
+        for (std::uint32_t copy = 0; copy < 2; ++copy)
+            arr->cp_write(copy * cfg.copy_size() + outside, 0xABCD00000001ull);
+    }
+
+    cluster.crash_host(HostId{1});
+    cluster.restart_host(HostId{1});
+    ASSERT_GE(cluster.chaos_stats().tasks_reset, 1u);
+    for (std::uint32_t aa = 0; aa < cfg.num_aas; ++aa)
+        for (std::uint32_t copy = 0; copy < 2; ++copy) {
+            for (std::uint32_t i = region.base; i < region.base + region.len;
+                 ++i)
+                ASSERT_EQ(word(aa, copy, i), 0u)
+                    << "aa " << aa << " copy " << copy << " index " << i;
+            EXPECT_EQ(word(aa, copy, outside), 0xABCD00000001ull);
+        }
+    EXPECT_EQ(program.current_epoch(1), 0u);
+}
+
+/** The scan read_region replaced: one cp_read per aggregator, short AAs
+ *  first, then each medium group, each in index order. */
+KvStream
+reference_scan(pisa::Pipeline& pipe, const AskConfig& cfg,
+               const KeySpace& ks, const TaskRegion& r, std::uint32_t copy)
+{
+    auto word = [&](std::uint32_t aa, std::uint32_t idx) {
+        return pipe.find_array("aa_" + std::to_string(aa))
+            ->cp_read(copy * cfg.copy_size() + idx);
+    };
+    std::uint32_t bits = cfg.part_bits;
+    auto key_of = [&](std::uint64_t w) {
+        return ks.decode_segment(static_cast<std::uint32_t>(w >> bits));
+    };
+    auto value_of = [&](std::uint64_t w) {
+        return static_cast<Value>(w & ((1ULL << bits) - 1));
+    };
+    KvStream out;
+    for (std::uint32_t aa = 0; aa < cfg.short_aas(); ++aa)
+        for (std::uint32_t idx = r.base; idx < r.base + r.len; ++idx)
+            if ((word(aa, idx) >> bits) != 0)
+                out.push_back({KeySpace::unpad(key_of(word(aa, idx))),
+                               value_of(word(aa, idx))});
+    for (std::uint32_t g = 0; g < cfg.medium_groups; ++g) {
+        std::uint32_t mb = cfg.medium_base(g);
+        for (std::uint32_t idx = r.base; idx < r.base + r.len; ++idx) {
+            if ((word(mb, idx) >> bits) == 0)
+                continue;
+            std::string padded;
+            for (std::uint32_t j = 0; j < cfg.medium_segments; ++j)
+                padded += key_of(word(mb + j, idx));
+            out.push_back(
+                {KeySpace::unpad(padded),
+                 value_of(word(mb + cfg.medium_segments - 1, idx))});
+        }
+    }
+    return out;
+}
+
+TEST_F(SwitchProgramTest, ReadRegionMatchesPerEntryReferenceScan)
+{
+    // Real traffic: short keys and medium keys over several packets.
+    Seq seq = 0;
+    for (int round = 0; round < 3; ++round)
+        for (const Key& key : {"aa", "bb", "cc", "medium-k", "medkey-2"})
+            inject(data_packet({{key, 1u + round}}, seq++));
+    // Then random words, with empty aggregators mixed in, on both copies.
+    Rng rng = seeded_rng("switch_program_test.scan", 5);
+    for (std::uint32_t aa = 0; aa < config_.num_aas; ++aa) {
+        auto* arr = sw_.pipeline().find_array("aa_" + std::to_string(aa));
+        for (std::uint32_t i = 0; i < region_.len; i += 2)
+            arr->cp_write(config_.copy_size() + region_.base + i,
+                          rng.chance(0.3) ? 0 : rng.next_u64());
+    }
+    ASSERT_GT(config_.medium_groups, 0u);
+    for (std::uint32_t copy = 0; copy < 2; ++copy) {
+        KvStream expect =
+            reference_scan(sw_.pipeline(), config_, key_space_, region_, copy);
+        ASSERT_FALSE(expect.empty());
+        EXPECT_EQ(program_.read_region(kTask, copy, /*clear=*/false), expect);
+        EXPECT_EQ(program_.read_region(kTask, copy, /*clear=*/true), expect);
+        EXPECT_TRUE(program_.read_region(kTask, copy, /*clear=*/false).empty());
+    }
 }
 
 TEST(SwitchProgramConfig, PaperDefaultsFitDefaultPipeline)

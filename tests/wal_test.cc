@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -200,6 +201,62 @@ TEST(Wal, AppendCounterRoutesToExternalStat)
     for (const WalRecord& r : sample_records())
         wal.append(r);
     EXPECT_EQ(count, 3u);
+}
+
+/** A fixed sequence that exercises every record kind, a record with
+ *  no kvs, an empty key and a key longer than 255 bytes. */
+std::vector<WalRecord>
+framing_corpus()
+{
+    std::vector<WalRecord> rs;
+    for (std::uint8_t k = static_cast<std::uint8_t>(WalRecordKind::kAlloc);
+         k <= static_cast<std::uint8_t>(WalRecordKind::kHostRecovered); ++k) {
+        WalRecord r;
+        r.kind = static_cast<WalRecordKind>(k);
+        r.task = 1000u + k;
+        r.channel = 3u * k;
+        r.seq = 0xFFFFFF00u + k;
+        r.arg0 = k;
+        r.arg1 = 0x80000000u | k;
+        r.arg2 = 7u * k;
+        if (k % 3 == 1)
+            r.kvs = {{"key" + std::to_string(k), 0x0123456789ABCDEFull * k}};
+        else if (k % 3 == 2)
+            r.kvs = {{"", k}, {"x", ~0ull}};
+        rs.push_back(std::move(r));
+    }
+    WalRecord long_key = data_record(9, 1, 2, {{std::string(300, 'q'), 42}});
+    rs.push_back(long_key);
+    return rs;
+}
+
+// Golden values from the byte-by-byte encoder this in-place framing
+// replaced: the bytes on the log, and so the digests, must not change.
+constexpr std::size_t kCorpusBytes = 958;
+constexpr std::uint64_t kCorpusDigest = 6651864677327890676ull;
+
+TEST(Wal, FramingIsByteIdenticalToTheGoldenLog)
+{
+    Wal wal("golden");
+    std::vector<WalRecord> rs = framing_corpus();
+    for (const WalRecord& r : rs)
+        wal.append(r);
+    EXPECT_EQ(wal.size_bytes(), kCorpusBytes);
+    EXPECT_EQ(wal.digest(), kCorpusDigest);
+    EXPECT_TRUE(wal.verify());
+    EXPECT_EQ(wal.replay(), rs);
+}
+
+TEST(Wal, ParanoidModeVerifiesEveryAppend)
+{
+    ASSERT_EQ(::setenv("ASK_WAL_PARANOID", "1", 1), 0);
+    Wal wal("paranoid");
+    ASSERT_EQ(::unsetenv("ASK_WAL_PARANOID"), 0);
+    // Each append re-verifies the whole log and panics on a mismatch.
+    for (const WalRecord& r : framing_corpus())
+        wal.append(r);
+    EXPECT_EQ(wal.size_bytes(), kCorpusBytes);
+    EXPECT_EQ(wal.digest(), kCorpusDigest);
 }
 
 TEST(WalStore, NamesOneLogPerProcess)
