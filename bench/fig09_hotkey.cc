@@ -32,7 +32,7 @@ switch_fraction(bool prioritize, std::uint32_t region_per_aa,
     core::TaskResult r = cluster.run_task(
         1, 0, {{1, stream}}, {.region_len = region_per_aa});
     (void)r;
-    const core::SwitchAggStats& sw = cluster.switch_stats();
+    const core::SwitchAggStats& sw = cluster.switch_stats(core::SwitchId{0});
     return 100.0 * static_cast<double>(sw.tuples_aggregated) /
            static_cast<double>(sw.tuples_in);
 }

@@ -53,7 +53,7 @@ ask_rates(std::uint32_t channels, std::uint64_t tuples)
 
     net::NodeId sender = cluster.daemon(1).node_id();
     std::uint64_t wire =
-        cluster.network().link_bytes(sender, cluster.switch_node());
+        cluster.network().link_bytes(sender, cluster.switch_node(core::SwitchId{0}));
     Nanoseconds fixed = cc.mgmt_latency_ns + cc.notify_latency_ns;
     Nanoseconds elapsed = std::max<Nanoseconds>(sr.senders_done - fixed, 1);
     Rates out;

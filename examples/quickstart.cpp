@@ -53,7 +53,7 @@ main()
     for (const auto& [key, value] : result.result)
         std::cout << "  " << key << " -> " << value << "\n";
 
-    const core::SwitchAggStats& sw = cluster.switch_stats();
+    const core::SwitchAggStats& sw = cluster.switch_stats(core::SwitchId{0});
     std::cout << "switch aggregated " << sw.tuples_aggregated
               << " tuples and fully absorbed " << sw.packets_acked
               << " packets\n";

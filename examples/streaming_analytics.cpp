@@ -63,7 +63,7 @@ main()
                         });
     cluster.run();
 
-    const core::SwitchAggStats& sw = cluster.switch_stats();
+    const core::SwitchAggStats& sw = cluster.switch_stats(core::SwitchId{0});
     core::HostStats hosts = cluster.total_host_stats();
 
     std::cout << "clickstream tenant: "

@@ -177,7 +177,7 @@ run_ask_backend(const MrJobSpec& spec)
     out.cpu_fraction = static_cast<double>(spec.ask_channels) /
                        spec.cores_per_machine;
 
-    const core::SwitchAggStats& sw = cluster.switch_stats();
+    const core::SwitchAggStats& sw = cluster.switch_stats(core::SwitchId{0});
     if (sw.tuples_in > 0) {
         out.switch_tuple_ratio =
             static_cast<double>(sw.tuples_aggregated) /

@@ -121,16 +121,15 @@ AskCluster::AskCluster(const ClusterConfig& config, sim::Simulator* external)
     net::CostModel cost_model(config_.cost);
     for (std::uint32_t h = 0; h < topo_.num_hosts(); ++h) {
         pisa::PisaSwitch& tor = tor_of(h);
+        Wal& wal = wal_store_.host_wal(h);
+        wal.set_append_counter(&chaos_stats_.wal_appends);
         daemons_.push_back(std::make_unique<AskDaemon>(
             config_.ask, cost_model, network_, HostId{h}, tor.node_id(),
-            *controller_, *mgmt_, &obs_));
+            *controller_, *mgmt_, wal, &obs_));
         network_.attach(daemons_.back().get());
         network_.connect(daemons_.back()->node_id(), tor.node_id(),
                          config_.link_gbps, config_.link_propagation_ns,
                          config_.faults, config_.seed + h);
-        Wal& wal = wal_store_.host_wal(h);
-        wal.set_append_counter(&chaos_stats_.wal_appends);
-        daemons_.back()->set_wal(&wal);
     }
 
     if (fabric) {
@@ -229,7 +228,7 @@ AskCluster::submit_task(TaskId task, HostId receiver_host,
     auto n_senders = static_cast<std::uint32_t>(streams.size());
 
     // Register the task for chaos recovery: a switch reboot needs to
-    // know which hosts hold replayable archives for which tasks.
+    // know which hosts hold replayable streams for which tasks.
     ActiveTask active;
     active.receiver_host = receiver_host.value();
     for (const auto& s : streams)
@@ -437,66 +436,10 @@ AskCluster::on_switch_reboot_end(const sim::ChaosEvent& e)
     // plane is missing bindings.
     chaos_stats_.regions_reinstalled += controller_->reinstall_after_reboot();
 
-    // (2) Silence the senders of every active task BEFORE fencing:
-    // the fence boundary is each channel's next_seq, and nothing may be
-    // transmitted between reading it and the replay.
-    for (const auto& [task, info] : active_tasks_) {
-        for (std::uint32_t h : info.sender_hosts)
-            daemons_[h]->abort_send(task);
-    }
+    // (2) Every active task restarts from its journaled streams.
+    reset_and_replay();
 
-    // (2b) Fabric only: the reboot wiped ONE switch's registers, but the
-    // replay streams every task from scratch — partial aggregates still
-    // sitting on the surviving switches would be double-counted. Clear
-    // them all. (A single-switch reboot needs no clear: the wipe was it.)
-    if (num_switches() > 1)
-        clear_active_regions();
-
-    // (3) Fence every data channel: stale-drop pre-crash sequences and
-    // repair the compact-seen parity the wipe destroyed. The fabric
-    // fences each channel on every switch provisioning it. Crashed
-    // hosts are skipped — their channels re-fence at the WAL checkpoint
-    // when they restart.
-    for (const auto& d : daemons_) {
-        if (d->crashed())
-            continue;
-        for (std::uint32_t c = 0; c < d->num_channels(); ++c) {
-            DataChannel& ch = d->channel(c);
-            controller_->fence_channel(ch.global_id(), ch.next_seq());
-            ++chaos_stats_.channels_fenced;
-        }
-    }
-
-    // (4) Reset the receiver state of every active task and let the
-    // fabric drain, (5) then replay the archived streams. The epoch
-    // voids replays scheduled by an earlier recovery that this reboot
-    // interrupted — they would stream on top of this epoch's replay.
-    // Work aimed at a crashed host waits for its restart (and composes
-    // with the WAL rebuild there): a rebuilt receiver whose registers
-    // this reboot wiped MUST still be reset, or the replay would land
-    // on top of its journaled partial aggregate.
-    std::uint64_t epoch = ++recovery_epoch_;
-    sim::SimTime drain_until =
-        simulator_.now() + config_.ask.recovery_drain_ns;
-    for (const auto& [task, info] : active_tasks_) {
-        run_on_host(info.receiver_host,
-                    [this, task, host = info.receiver_host, drain_until] {
-                        daemons_[host]->prepare_replay(task, drain_until);
-                    });
-        for (std::uint32_t h : info.sender_hosts) {
-            simulator_.schedule_at(drain_until, [this, task, h, epoch] {
-                if (recovery_epoch_ != epoch || active_tasks_.count(task) == 0)
-                    return;
-                run_on_host(h, [this, task, h, epoch] {
-                    if (recovery_epoch_ == epoch &&
-                        active_tasks_.count(task) != 0)
-                        daemons_[h]->replay_task(task);
-                });
-            });
-        }
-    }
-
-    // (6) The switch CPU is back: management RPCs flow again — unless
+    // (3) The switch CPU is back: management RPCs flow again — unless
     // the controller process is itself down (or another switch of the
     // fabric is still mid-reboot), in which case the endpoint stays
     // dark until everything is up.
@@ -619,10 +562,10 @@ AskCluster::restart_host(HostId host)
     }
     // Mid-send crash: the dead process's in-flight accounting is gone,
     // so which of its tuples the switch registers absorbed is
-    // unknowable. Re-establish exactness from the source archives.
+    // unknowable. Re-establish exactness from the journaled streams.
     for (const auto& [task, info] : active_tasks_) {
         if (d.has_send_archive(task)) {
-            global_replay_reset();
+            reset_and_replay();
             break;
         }
     }
@@ -672,38 +615,34 @@ AskCluster::restart_controller()
 }
 
 void
-AskCluster::clear_active_regions()
+AskCluster::reset_and_replay()
 {
+    // (1) Silence the senders of every active task BEFORE fencing: the
+    // fence boundary is each channel's next_seq, and nothing may be
+    // transmitted between reading it and the replay. A crashed sender
+    // has no jobs left to abort.
+    for (const auto& [task, info] : active_tasks_) {
+        for (std::uint32_t h : info.sender_hosts)
+            daemons_[h]->abort_send(task);
+    }
+
+    // (2) Discard every active task's partial aggregate on every switch
+    // of the fabric: the replay streams every task from scratch, so
+    // partials left on a surviving switch — or absorbed from a crashed
+    // sender's unknowable in-flight frames — would be double-counted.
+    // (A rebooted switch's registers are already zero.)
     for (const auto& [task, info] : active_tasks_) {
         for (auto& p : programs_) {
             if (p->find_task(task) != nullptr)
                 p->wipe_region(task);
         }
     }
-}
 
-void
-AskCluster::global_replay_reset()
-{
-    if (active_tasks_.empty())
-        return;
-    std::uint64_t epoch = ++recovery_epoch_;
-
-    // (1) Silence every live sender of every active task.
-    for (const auto& [task, info] : active_tasks_) {
-        for (std::uint32_t h : info.sender_hosts) {
-            if (!daemons_[h]->crashed())
-                daemons_[h]->abort_send(task);
-        }
-    }
-
-    // (2) Discard every active task's partial switch state — on every
-    // switch of the fabric. A crashed sender's in-flight accounting
-    // died with it, so which of its frames the registers absorbed is
-    // unknowable; the archives re-establish the aggregate from source.
-    clear_active_regions();
-
-    // (3) Fence every live channel so pre-reset frames stale-drop.
+    // (3) Fence every data channel: stale-drop older sequences and
+    // repair the compact-seen parity a wipe destroyed. The fabric
+    // fences each channel on every switch provisioning it. Crashed
+    // hosts are skipped — their channels re-fence at the WAL checkpoint
+    // when they restart.
     for (const auto& d : daemons_) {
         if (d->crashed())
             continue;
@@ -714,8 +653,15 @@ AskCluster::global_replay_reset()
         }
     }
 
-    // (4) Reset receivers, drain the fabric, replay the archives — the
-    // same choreography as a switch reboot, crash-aware via run_on_host.
+    // (4) Reset the receiver state of every active task and let the
+    // fabric drain, (5) then replay the journaled streams. The epoch
+    // voids replays scheduled by an earlier recovery that this one
+    // interrupted — they would stream on top of this epoch's replay.
+    // Work aimed at a crashed host waits for its restart (and composes
+    // with the WAL rebuild there): a rebuilt receiver whose registers
+    // were wiped MUST still be reset, or the replay would land on top
+    // of its journaled partial aggregate.
+    std::uint64_t epoch = ++recovery_epoch_;
     sim::SimTime drain_until =
         simulator_.now() + config_.ask.recovery_drain_ns;
     for (const auto& [task, info] : active_tasks_) {
@@ -728,9 +674,21 @@ AskCluster::global_replay_reset()
                 if (recovery_epoch_ != epoch || active_tasks_.count(task) == 0)
                     return;
                 run_on_host(h, [this, task, h, epoch] {
-                    if (recovery_epoch_ == epoch &&
-                        active_tasks_.count(task) != 0)
+                    if (recovery_epoch_ != epoch ||
+                        active_tasks_.count(task) == 0)
+                        return;
+                    try {
                         daemons_[h]->replay_task(task);
+                    } catch (const StateError& e) {
+                        // The stream's only copy is damaged: fail the
+                        // task the way a log rejected at restart does.
+                        ++chaos_stats_.wal_rejected;
+                        warn("cluster: host ", h, " WAL rejected (",
+                             e.what(), ") during replay");
+                        abort_active_task(
+                            task, TaskStatus::kHostCrashed,
+                            strf("host %u write-ahead log corrupt", h));
+                    }
                 });
             });
         }

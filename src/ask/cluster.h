@@ -190,19 +190,6 @@ class AskCluster
      *  FabricController (fan-out) for several. */
     AskSwitchController& controller() { return *controller_; }
 
-    // ---- deprecated single-switch shims ------------------------------------
-    // Deprecation note (back-compat shims): these pre-fabric accessors
-    // resolve to switch 0 — rack 0's ToR. They are exact on a
-    // single-rack cluster and partial views on a fabric; new code
-    // should pass a SwitchId.
-    pisa::PisaSwitch& pisa_switch() { return pisa_switch(SwitchId{0}); }
-    AskSwitchProgram& program() { return program(SwitchId{0}); }
-    const SwitchAggStats& switch_stats() const
-    {
-        return switch_stats(SwitchId{0});
-    }
-    net::NodeId switch_node() const { return switch_node(SwitchId{0}); }
-
     const ClusterConfig& config() const { return config_; }
 
     /** Aggregate host stats over all daemons. */
@@ -269,8 +256,8 @@ class AskCluster
     /** Crash host `host`'s daemon process (its WAL survives). */
     void crash_host(HostId host);
     /** Restart a crashed daemon: WAL replay, deferred-work drain, and —
-     *  when the host was mid-send for an active task — a cluster-wide
-     *  replay reset. */
+     *  when the host was mid-send for an active task — the same
+     *  cluster-wide reset and replay a switch reboot runs. */
     void restart_host(HostId host);
     /** Crash the controller process (allocation journals lost; the
      *  management endpoint goes down with it). */
@@ -322,17 +309,15 @@ class AskCluster
     void abort_active_task(TaskId task, TaskStatus status,
                            const std::string& detail);
 
-    /** Discard every active task's partial aggregate on every switch
-     *  (before a from-scratch replay that would double-count them). */
-    void clear_active_regions();
-
     /**
-     * A sender crashed mid-stream: its in-flight accounting is gone, so
-     * exactness is re-established from scratch — wipe every active
-     * task's switch regions, fence all live channels, reset every
-     * receiver, and replay all archived streams after a drain window.
+     * The one replay choreography, shared by switch reboot and sender
+     * crash: silence the senders of every active task, wipe their
+     * regions on every switch, fence every live channel, then under a
+     * fresh recovery epoch reset the receivers and, after the drain
+     * window, replay each sender's journaled streams. A replay that
+     * finds a damaged send record fails its task with kHostCrashed.
      */
-    void global_replay_reset();
+    void reset_and_replay();
 
     ClusterConfig config_;
     Topology topo_;

@@ -208,13 +208,12 @@ DataChannel::pump()
         // before using the first of them. On the checkpoint boundary the
         // append precedes the allocation below, so the journaled resume
         // point always covers every seq this process could have used.
-        if (daemon_.wal_ != nullptr &&
-            next_seq_ % kSeqCheckpointInterval == 0) {
+        if (next_seq_ % kSeqCheckpointInterval == 0) {
             WalRecord r;
             r.kind = WalRecordKind::kSeqCheckpoint;
             r.channel = local_index_;
             r.seq = next_seq_ + kSeqCheckpointInterval;
-            daemon_.wal_->append(r);
+            daemon_.wal_.append(r);
         }
 
         Seq seq = next_seq_++;
@@ -578,7 +577,7 @@ DataChannel::reset_after_crash(Seq resume)
 AskDaemon::AskDaemon(const AskConfig& config, const net::CostModel& cost_model,
                      net::Network& network, HostId host_index,
                      net::NodeId switch_node, AskSwitchController& controller,
-                     MgmtPlane& mgmt, obs::Observability* obs)
+                     MgmtPlane& mgmt, Wal& wal, obs::Observability* obs)
     : config_(config),
       key_space_(config),
       cost_model_(cost_model),
@@ -586,7 +585,8 @@ AskDaemon::AskDaemon(const AskConfig& config, const net::CostModel& cost_model,
       host_index_(host_index),
       switch_node_(switch_node),
       controller_(controller),
-      mgmt_(mgmt)
+      mgmt_(mgmt),
+      wal_(wal)
 {
     ASK_ASSERT(host_index.value() < config_.max_hosts,
                "host index exceeds configured max_hosts");
@@ -678,21 +678,19 @@ AskDaemon::start_receive(TaskId task, std::uint32_t expected_senders,
                 options.sender_liveness_timeout_ns < 0
                     ? config_.sender_liveness_timeout_ns
                     : options.sender_liveness_timeout_ns;
-            if (wal_ != nullptr) {
-                WalRecord r;
-                r.kind = WalRecordKind::kRxTaskStart;
-                r.task = task;
-                r.arg0 = expected_senders;
-                r.arg1 = rx.swaps_disabled ? 1 : 0;
-                r.kvs.emplace_back(
-                    "liveness_ns",
-                    static_cast<std::uint64_t>(rx.liveness_timeout_ns));
-                r.kvs.emplace_back(
-                    "start_time",
-                    static_cast<std::uint64_t>(rx.report.start_time));
-                r.kvs.emplace_back("op", static_cast<std::uint64_t>(rx.op));
-                wal_->append(r);
-            }
+            WalRecord r;
+            r.kind = WalRecordKind::kRxTaskStart;
+            r.task = task;
+            r.arg0 = expected_senders;
+            r.arg1 = rx.swaps_disabled ? 1 : 0;
+            r.kvs.emplace_back(
+                "liveness_ns",
+                static_cast<std::uint64_t>(rx.liveness_timeout_ns));
+            r.kvs.emplace_back(
+                "start_time",
+                static_cast<std::uint64_t>(rx.report.start_time));
+            r.kvs.emplace_back("op", static_cast<std::uint64_t>(rx.op));
+            wal_.append(r);
             auto [it, inserted] = rx_tasks_.emplace(task, std::move(rx));
             ASK_ASSERT(inserted, "task ", task, " already receiving here");
             if (it->second.liveness_timeout_ns > 0)
@@ -718,21 +716,19 @@ AskDaemon::submit_send(TaskId task, net::NodeId receiver, KvStream stream,
     ReduceOp rop = op.value_or(config_.op);
     for (auto& t : stream)
         t.value = reduce_lift(rop, t.value);
-    // Archive the stream for replay: a switch reboot wipes the partial
+    // Journal the stream before sending it: this record is the only
+    // copy replay_task re-sends after a switch reboot wipes the partial
     // aggregate, and exactness then requires re-sending from the source.
-    if (wal_ != nullptr) {
-        WalRecord r;
-        r.kind = WalRecordKind::kSendSubmit;
-        r.task = task;
-        r.arg0 = static_cast<std::uint32_t>(receiver);
-        r.arg1 = static_cast<std::uint32_t>(rop);
-        r.kvs.reserve(stream.size());
-        for (const auto& t : stream)
-            r.kvs.emplace_back(t.key, static_cast<std::uint64_t>(t.value));
-        wal_->append(r);
-    }
-    sent_archive_[task].push_back(
-        ArchivedSend{receiver, stream, rop, on_complete});
+    WalRecord r;
+    r.kind = WalRecordKind::kSendSubmit;
+    r.task = task;
+    r.arg0 = static_cast<std::uint32_t>(receiver);
+    r.arg1 = static_cast<std::uint32_t>(rop);
+    r.kvs.reserve(stream.size());
+    for (const auto& t : stream)
+        r.kvs.emplace_back(t.key, static_cast<std::uint64_t>(t.value));
+    sends_[task].push_back(wal_.records());
+    wal_.append(r);
     channel_for_task(task).submit_send(task, receiver, std::move(stream), rop,
                                        std::move(on_complete));
 }
@@ -747,19 +743,28 @@ AskDaemon::abort_send(TaskId task)
 std::uint32_t
 AskDaemon::replay_task(TaskId task)
 {
-    for (auto& ch : channels_)
-        ch->abort_task(task);
-    auto it = sent_archive_.find(task);
-    if (it == sent_archive_.end())
+    abort_send(task);
+    auto it = sends_.find(task);
+    if (it == sends_.end())
         return 0;
-    std::uint32_t n = 0;
-    for (const auto& a : it->second) {
-        // Straight to the channel: replay must not re-archive (and the
-        // archived stream is already lifted — no second lift).
-        channel_for_task(task).submit_send(task, a.receiver, a.stream, a.op,
-                                           a.on_complete, /*replay=*/true);
-        ++n;
+    // Read every record before re-submitting any: a damaged one throws
+    // StateError with nothing half-replayed.
+    std::vector<WalRecord> records;
+    records.reserve(it->second.size());
+    for (std::size_t index : it->second)
+        records.push_back(wal_.read(index));
+    for (WalRecord& r : records) {
+        // Straight to the channel: replay must not re-journal (and the
+        // journaled stream is already lifted — no second lift).
+        KvStream stream;
+        stream.reserve(r.kvs.size());
+        for (auto& [key, value] : r.kvs)
+            stream.push_back({std::move(key), static_cast<Value>(value)});
+        channel_for_task(task).submit_send(
+            task, static_cast<net::NodeId>(r.arg0), std::move(stream),
+            static_cast<ReduceOp>(r.arg1), nullptr, /*replay=*/true);
     }
+    auto n = static_cast<std::uint32_t>(records.size());
     chaos_.streams_replayed += n;
     ASK_TRACE(tracer_, simulator().now(), task, 0, 0,
               obs::TraceStage::kReplay, n, obs::kTraceFlagReplay);
@@ -769,16 +774,14 @@ AskDaemon::replay_task(TaskId task)
 void
 AskDaemon::forget_task(TaskId task)
 {
-    auto it = sent_archive_.find(task);
-    if (it == sent_archive_.end())
+    auto it = sends_.find(task);
+    if (it == sends_.end())
         return;
-    if (wal_ != nullptr) {
-        WalRecord r;
-        r.kind = WalRecordKind::kSendForget;
-        r.task = task;
-        wal_->append(r);
-    }
-    sent_archive_.erase(it);
+    WalRecord r;
+    r.kind = WalRecordKind::kSendForget;
+    r.task = task;
+    wal_.append(r);
+    sends_.erase(it);
 }
 
 void
@@ -1019,18 +1022,16 @@ AskDaemon::process_data(ReceiveTask& task, const net::Packet& pkt,
         } else {  // kLongData
             decoded = parse_long_tuples(pkt.data);
         }
-        if (wal_ != nullptr) {
-            WalRecord r;
-            r.kind = WalRecordKind::kRxData;
-            r.task = task.id;
-            r.channel = hdr.channel_id;
-            r.seq = hdr.seq;
-            r.kvs.reserve(decoded.size());
-            for (const auto& t : decoded)
-                r.kvs.emplace_back(t.key,
-                                   static_cast<std::uint64_t>(t.value));
-            wal_->append(r);
-        }
+        WalRecord r;
+        r.kind = WalRecordKind::kRxData;
+        r.task = task.id;
+        r.channel = hdr.channel_id;
+        r.seq = hdr.seq;
+        r.kvs.reserve(decoded.size());
+        for (const auto& t : decoded)
+            r.kvs.emplace_back(t.key,
+                               static_cast<std::uint64_t>(t.value));
+        wal_.append(r);
         std::uint64_t tuples = decoded.size();
         // Combine-only: the sender lifted every value at submit_send.
         for (const auto& t : decoded)
@@ -1077,12 +1078,12 @@ AskDaemon::handle_fin(const net::Packet& pkt, const AskHeader& hdr)
         return;
     }
     task.last_activity = simulator().now();
-    if (wal_ != nullptr && task.fins.count(hdr.channel_id) == 0) {
+    if (task.fins.count(hdr.channel_id) == 0) {
         WalRecord r;
         r.kind = WalRecordKind::kRxFin;
         r.task = task.id;
         r.channel = hdr.channel_id;
-        wal_->append(r);
+        wal_.append(r);
     }
     task.fins.insert(hdr.channel_id);
     DataChannel& ch = channel_for_task(hdr.task_id);
@@ -1204,17 +1205,15 @@ AskDaemon::complete_swap(ReceiveTask& task)
                 // Journal the drained registers with the commit: the
                 // fetch cleared them, so these tuples now exist only in
                 // this process (and, after this append, in the WAL).
-                if (wal_ != nullptr) {
-                    WalRecord r;
-                    r.kind = WalRecordKind::kRxSwapCommit;
-                    r.task = task_id;
-                    r.seq = t.swap_target;
-                    r.kvs.reserve(fetched.size());
-                    for (const auto& f : fetched)
-                        r.kvs.emplace_back(
-                            f.key, static_cast<std::uint64_t>(f.value));
-                    wal_->append(r);
-                }
+                WalRecord r;
+                r.kind = WalRecordKind::kRxSwapCommit;
+                r.task = task_id;
+                r.seq = t.swap_target;
+                r.kvs.reserve(fetched.size());
+                for (const auto& f : fetched)
+                    r.kvs.emplace_back(
+                        f.key, static_cast<std::uint64_t>(f.value));
+                wal_.append(r);
                 stats_.fetch_tuples += fetched.size();
                 t.report.tuples_fetched_from_switch += fetched.size();
                 // Switch registers hold lifted partials: combine only.
@@ -1308,13 +1307,11 @@ AskDaemon::finalize(ReceiveTask& task)
                 ASK_TRACE(tracer_, simulator().now(), task_id, 0, 0,
                           obs::TraceStage::kFinalize,
                           t.report.packets_received);
-                if (wal_ != nullptr) {
-                    WalRecord r;
-                    r.kind = WalRecordKind::kRxTaskDone;
-                    r.task = task_id;
-                    r.arg0 = static_cast<std::uint32_t>(TaskStatus::kOk);
-                    wal_->append(r);
-                }
+                WalRecord r;
+                r.kind = WalRecordKind::kRxTaskDone;
+                r.task = task_id;
+                r.arg0 = static_cast<std::uint32_t>(TaskStatus::kOk);
+                wal_.append(r);
                 TaskDoneFn on_done = std::move(t.on_done);
                 AggregateMap result = std::move(t.local);
                 TaskReport report = std::move(t.report);
@@ -1381,13 +1378,11 @@ AskDaemon::fail_receive_task(TaskId task_id, TaskStatus status,
     t.report.finish_time = simulator().now();
     t.report.status = status;
     t.report.detail = std::move(detail);
-    if (wal_ != nullptr) {
-        WalRecord r;
-        r.kind = WalRecordKind::kRxTaskDone;
-        r.task = task_id;
-        r.arg0 = static_cast<std::uint32_t>(status);
-        wal_->append(r);
-    }
+    WalRecord r;
+    r.kind = WalRecordKind::kRxTaskDone;
+    r.task = task_id;
+    r.arg0 = static_cast<std::uint32_t>(status);
+    wal_.append(r);
     TaskDoneFn on_done = std::move(t.on_done);
     TaskReport report = std::move(t.report);
     rx_tasks_.erase(it);
@@ -1413,14 +1408,12 @@ AskDaemon::prepare_replay(TaskId task_id, sim::SimTime drain_until)
     if (it == rx_tasks_.end())
         return;
     ReceiveTask& t = it->second;
-    if (wal_ != nullptr) {
-        WalRecord r;
-        r.kind = WalRecordKind::kRxReset;
-        r.task = task_id;
-        r.kvs.emplace_back("drain_until",
-                           static_cast<std::uint64_t>(drain_until));
-        wal_->append(r);
-    }
+    WalRecord r;
+    r.kind = WalRecordKind::kRxReset;
+    r.task = task_id;
+    r.kvs.emplace_back("drain_until",
+                       static_cast<std::uint64_t>(drain_until));
+    wal_.append(r);
     ++t.generation;  // scheduled fetch/finalize callbacks are now void
     t.local.clear();
     t.fins.clear();
@@ -1463,7 +1456,7 @@ AskDaemon::crash()
             simulator().cancel(t.liveness_timer);
     }
     rx_tasks_.clear();
-    sent_archive_.clear();
+    sends_.clear();
     warn(name(), ": host crashed");
 }
 
@@ -1471,11 +1464,10 @@ std::uint32_t
 AskDaemon::recover_from_wal(
     const std::function<TaskDoneFn(TaskId)>& make_done)
 {
-    ASK_ASSERT(wal_ != nullptr, "daemon recovery without a WAL");
     ASK_ASSERT(crashed_, "recovery of a live daemon");
     // Throwing replay: a corrupt log surfaces as StateError and the
     // cluster fails the host's tasks instead of rebuilding bad state.
-    std::vector<WalRecord> records = wal_->replay();
+    std::vector<WalRecord> records = wal_.replay();
     WalDaemonState state = rebuild_daemon_state(records, config_.op);
     crashed_ = false;
 
@@ -1490,14 +1482,10 @@ AskDaemon::recover_from_wal(
             controller_.fence_channel(channels_[i]->global_id(), resume);
     }
 
-    // Replay archives. The original on_complete callbacks died with the
-    // process; cluster-level replay re-drives delivery, and completion
-    // is observed at the receiver (FIN set), not the sender.
-    for (auto& [task, send] : state.sends) {
-        sent_archive_[task].push_back(
-            ArchivedSend{static_cast<net::NodeId>(send.receiver),
-                         std::move(send.stream), send.op, nullptr});
-    }
+    // Send records: replay_task re-reads them from the log. Completion
+    // is observed at the receiver (FIN set), not the sender, so no
+    // on_complete callback is needed to re-drive delivery.
+    sends_ = std::move(state.sends);
 
     // Receive tasks: partial aggregate, FIN set, seen windows (replayed
     // observation by observation, so post-restart retransmissions stay
@@ -1562,9 +1550,9 @@ AskDaemon::recover_from_wal(
     // ones this one just handed out.
     WalRecord marker;
     marker.kind = WalRecordKind::kHostRecovered;
-    wal_->append(marker);
+    wal_.append(marker);
     warn(name(), ": recovered from WAL: ", rebuilt, " receive task(s), ",
-         state.sends.size(), " archived send(s)");
+         sends_.size(), " replayable send(s)");
     return rebuilt;
 }
 

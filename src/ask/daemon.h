@@ -327,13 +327,20 @@ class AskDaemon : public net::Node
      * @param controller   the switch control plane (the fabric controller
      *                     in a multi-rack deployment).
      * @param mgmt         the management network all controller RPCs use.
+     * @param wal          this host's write-ahead log (the host's disk; it
+     *                     outlives crash()). Every externally visible
+     *                     state change — task starts, submits, observed
+     *                     DATA, FINs, swap commits, resets, completions,
+     *                     and sequence checkpoints — is appended *before*
+     *                     the in-memory state mutates, so crash() +
+     *                     recover_from_wal() rebuilds the daemon exactly.
      * @param obs          optional observability bundle (metrics + trace);
      *                     must outlive the daemon when given.
      */
     AskDaemon(const AskConfig& config, const net::CostModel& cost_model,
               net::Network& network, HostId host_index,
               net::NodeId switch_node, AskSwitchController& controller,
-              MgmtPlane& mgmt, obs::Observability* obs = nullptr);
+              MgmtPlane& mgmt, Wal& wal, obs::Observability* obs = nullptr);
 
     // ---- application-facing API ------------------------------------------
 
@@ -350,10 +357,14 @@ class AskDaemon : public net::Node
                        std::function<void()> on_ready);
 
     /** Submit a key-value stream for `task` toward `receiver`. The
-     *  stream is archived until forget_task() so it can be replayed
-     *  after a switch failure. `op` is the task's reduction operator
-     *  (nullopt = the config default); kCount streams are lifted
-     *  (value -> 1) here, once, before anything downstream folds them. */
+     *  stream is journaled as a kSendSubmit WAL record — its only
+     *  durable copy — and stays replayable from there until
+     *  forget_task(). `op` is the task's reduction operator (nullopt =
+     *  the config default); kCount streams are lifted (value -> 1) here,
+     *  once, before anything downstream folds them. `on_complete` fires
+     *  when this original submission is fully ACKed; a replayed stream
+     *  carries no callback, so a sender that needs one must not be
+     *  registered for cluster recovery. */
     void submit_send(TaskId task, net::NodeId receiver, KvStream stream,
                      std::function<void()> on_complete = nullptr,
                      std::optional<ReduceOp> op = std::nullopt);
@@ -403,11 +414,13 @@ class AskDaemon : public net::Node
      */
     void abort_send(TaskId task);
 
-    /** Re-submit every archived stream of `task` (aborting any live
-     *  jobs first). @return streams re-submitted. */
+    /** Re-submit every kSendSubmit record of `task`, read back from the
+     *  WAL, without on_complete callbacks (aborting any live jobs
+     *  first). Throws StateError, before re-submitting anything, when a
+     *  record is torn or damaged. @return streams re-submitted. */
     std::uint32_t replay_task(TaskId task);
 
-    /** Drop the replay archive of a completed task. */
+    /** Stop replaying a completed task's sends (journals kSendForget). */
     void forget_task(TaskId task);
 
     /** Fail a receive task: fires on_done with a failed report and
@@ -418,19 +431,11 @@ class AskDaemon : public net::Node
     // ---- host durability (write-ahead log + crash recovery) ---------------
 
     /**
-     * Attach this daemon's write-ahead log. Once set, every externally
-     * visible state change — task starts, journaled submits, observed
-     * DATA, FINs, swap commits, resets, completions, and sequence
-     * checkpoints — is appended *before* the in-memory state mutates,
-     * so crash() + recover_from_wal() rebuilds the daemon exactly.
-     */
-    void set_wal(Wal* wal) { wal_ = wal; }
-
-    /**
-     * Crash the host process: every channel, receive task, archive, and
-     * timer vanishes; packets arriving while crashed are dropped (the
-     * NIC stays attached, the daemon does not). The WAL — owned by the
-     * cluster's WalStore, i.e. the host's disk — survives.
+     * Crash the host process: every channel, receive task, send-record
+     * index, and timer vanishes; packets arriving while crashed are
+     * dropped (the NIC stays attached, the daemon does not). The WAL —
+     * owned by the cluster's WalStore, i.e. the host's disk — survives,
+     * and with it every journaled stream.
      */
     void crash();
     bool crashed() const { return crashed_; }
@@ -438,8 +443,8 @@ class AskDaemon : public net::Node
     /**
      * Restart after crash(): replay the WAL (throws StateError on a
      * digest/framing corruption) and rebuild receive tasks, partial
-     * aggregates, receive windows, send archives, and per-channel
-     * sequence cursors. Each rebuilt receive task needs its completion
+     * aggregates, receive windows, the indices of the live kSendSubmit
+     * records, and per-channel sequence cursors. Each rebuilt receive task needs its completion
      * callback back — the std::function died with the process — so the
      * cluster supplies `make_done`. Channels are re-fenced at their
      * journaled checkpoints and interrupted swaps are reconciled
@@ -449,11 +454,12 @@ class AskDaemon : public net::Node
     std::uint32_t recover_from_wal(
         const std::function<TaskDoneFn(TaskId)>& make_done);
 
-    /** Does this host hold a replay archive for `task`? (Used by the
-     *  cluster to decide whether a crashed host was a sender.) */
+    /** Does this host hold a replayable (journaled, not forgotten)
+     *  send for `task`? (Used by the cluster to decide whether a
+     *  crashed host was a sender.) */
     bool has_send_archive(TaskId task) const
     {
-        return sent_archive_.count(task) != 0;
+        return sends_.count(task) != 0;
     }
 
     // ---- net::Node ---------------------------------------------------------
@@ -551,15 +557,6 @@ class AskDaemon : public net::Node
 
     HostReceiveWindow& window_for(ReceiveTask& task, ChannelId channel);
 
-    /** One archived submit_send (kept until forget_task for replay). */
-    struct ArchivedSend
-    {
-        net::NodeId receiver = 0;
-        KvStream stream;  ///< already lifted (kCount values are 1)
-        ReduceOp op = ReduceOp::kAdd;
-        std::function<void()> on_complete;
-    };
-
     AskConfig config_;
     KeySpace key_space_;
     net::CostModel cost_model_;
@@ -568,15 +565,17 @@ class AskDaemon : public net::Node
     net::NodeId switch_node_;
     AskSwitchController& controller_;
     MgmtPlane& mgmt_;
+    /** Host write-ahead log (the host's disk: survives crash()). */
+    Wal& wal_;
 
     std::vector<std::unique_ptr<DataChannel>> channels_;
     std::unordered_map<TaskId, ReceiveTask> rx_tasks_;
-    std::unordered_map<TaskId, std::vector<ArchivedSend>> sent_archive_;
+    /** Per live send task, the WAL indices of its kSendSubmit records
+     *  (kept until forget_task; replay_task re-reads them). */
+    std::map<TaskId, std::vector<std::size_t>> sends_;
     std::function<void(TaskId, TaskStatus, const std::string&)>
         on_task_failure_;
     bool degraded_ = false;
-    /** Host write-ahead log (null = durability disabled). */
-    Wal* wal_ = nullptr;
     /** Crashed and not yet restarted: all traffic is dropped. */
     bool crashed_ = false;
     /** Borrowed observability hooks (may be null). The RTT histogram is

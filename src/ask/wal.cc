@@ -237,6 +237,7 @@ Wal::append(const WalRecord& record)
     store_u32(frame, static_cast<std::uint32_t>(len));
     store_u32(frame + 4, static_cast<std::uint32_t>(mix64(h)));
     record_hashes_.push_back(h);
+    record_offsets_.push_back(off);
     digest_ = mix64(digest_ ^ h);
     if (append_counter_ != nullptr)
         ++*append_counter_;
@@ -302,6 +303,38 @@ Wal::replay(WalReplayStatus* status) const
     return records;
 }
 
+WalRecord
+Wal::read(std::size_t index) const
+{
+    if (index >= record_hashes_.size())
+        fail_state("WAL ", name_, ": no record ", index, " (",
+                   record_hashes_.size(), " appended)");
+    std::size_t off = record_offsets_[index];
+    auto damaged = [&](const char* what) {
+        fail_state("WAL ", name_, ": record ", index, " at byte ", off,
+                   " unreadable (", what, ")");
+    };
+    if (off + kFrameHeader > bytes_.size())
+        damaged("torn frame header");
+    Reader hdr(std::string_view(bytes_).substr(off, kFrameHeader));
+    std::uint32_t len = 0;
+    std::uint32_t check = 0;
+    hdr.u32(len);
+    hdr.u32(check);
+    if (off + kFrameHeader + len > bytes_.size())
+        damaged("torn payload");
+    std::string_view payload =
+        std::string_view(bytes_).substr(off + kFrameHeader, len);
+    std::uint64_t h = fnv1a64(payload);
+    if (static_cast<std::uint32_t>(mix64(h)) != check ||
+        h != record_hashes_[index])
+        damaged("log-segment hash mismatch");
+    WalRecord r;
+    if (!decode_record(payload, r))
+        damaged("malformed payload");
+    return r;
+}
+
 bool
 Wal::verify() const
 {
@@ -320,6 +353,7 @@ Wal::clear()
 {
     bytes_.clear();
     record_hashes_.clear();
+    record_offsets_.clear();
     digest_ = 0;
 }
 
@@ -402,7 +436,8 @@ rebuild_daemon_state(const std::vector<WalRecord>& records,
     WalDaemonState state;
     std::map<TaskId, std::uint32_t> resets;
 
-    for (const WalRecord& r : records) {
+    for (std::size_t index = 0; index < records.size(); ++index) {
+        const WalRecord& r = records[index];
         switch (r.kind) {
           case WalRecordKind::kRxTaskStart: {
             WalRxTaskState& t = state.rx_tasks[r.task];
@@ -473,18 +508,9 @@ rebuild_daemon_state(const std::vector<WalRecord>& records,
             state.rx_tasks.erase(r.task);
             resets.erase(r.task);
             break;
-          case WalRecordKind::kSendSubmit: {
-            // A task may receive several submits from one host; the
-            // rebuilt cursor is their concatenation (aggregation is
-            // insensitive to the packetization boundary).
-            WalSendState& s = state.sends[r.task];
-            s.receiver = r.arg0;
-            s.op = static_cast<ReduceOp>(r.arg1);
-            s.stream.reserve(s.stream.size() + r.kvs.size());
-            for (const auto& [key, value] : r.kvs)
-                s.stream.push_back({key, static_cast<Value>(value)});
+          case WalRecordKind::kSendSubmit:
+            state.sends[r.task].push_back(index);
             break;
-          }
           case WalRecordKind::kSendForget:
             state.sends.erase(r.task);
             break;

@@ -28,7 +28,7 @@
  *
  * rebuild_daemon_state() is the pure fold from a record sequence to
  * the daemon-visible state (partial aggregates, fin sets, observed
- * seqs, replay cursors, seq checkpoints). Keeping it pure makes the
+ * seqs, live send records, seq checkpoints). Keeping it pure makes the
  * recovery-idempotence property directly testable: folding the same
  * log twice must produce operator==-identical state.
  */
@@ -57,10 +57,13 @@ enum class WalRecordKind : std::uint8_t
     /** Controller: region released (task completed or aborted). */
     kRelease = 2,
     /** Sender: stream accepted for transmission. task; arg0 = receiver
-     *  host, arg1 = ReduceOp id; kvs = the stream, already lifted
-     *  (replay cursor source — a replay must not lift again). */
+     *  node, arg1 = ReduceOp id (0 = kAdd in pre-op logs); kvs = the
+     *  stream, already lifted. The only copy of a sent stream:
+     *  AskDaemon::replay_task re-reads it with Wal::read and re-sends
+     *  it verbatim (a replay must not lift again). */
     kSendSubmit = 3,
-    /** Sender: archived stream dropped (receiver finished the task). */
+    /** Sender: the task's submits are no longer replayable (receiver
+     *  finished the task). */
     kSendForget = 4,
     /** Sender: all seqs below `seq` on `channel` are or may be in
      *  use; a restarted channel must resume at `seq`. */
@@ -163,6 +166,15 @@ class Wal
      */
     std::vector<WalRecord> replay(WalReplayStatus* status = nullptr) const;
 
+    /**
+     * Re-read record `index` (append order, as records() counted it
+     * before the append) straight from the byte image: the frame is
+     * bounds-checked, its payload hash checked against the record's log
+     * segment, then decoded. Throws StateError when the index is out of
+     * range or the record is torn or damaged.
+     */
+    WalRecord read(std::size_t index) const;
+
     /** Full integrity check: replay cleanly covers every segment and
      *  the recomputed root matches digest(). */
     bool verify() const;
@@ -193,6 +205,8 @@ class Wal
     std::string name_;
     std::string bytes_;
     std::vector<std::uint64_t> record_hashes_;
+    /** Byte offset of each record's frame, parallel to record_hashes_. */
+    std::vector<std::size_t> record_offsets_;
     std::uint64_t digest_ = 0;
     std::uint64_t* append_counter_ = nullptr;
     /** ASK_WAL_PARANOID=1: re-verify the whole log on every append. */
@@ -255,25 +269,15 @@ struct WalRxTaskState
     bool operator==(const WalRxTaskState&) const = default;
 };
 
-/** Rebuilt archived-send state (replay cursor for one task). */
-struct WalSendState
-{
-    std::uint32_t receiver = 0;
-    /** Operator the stream was submitted under (stamped into frames). */
-    ReduceOp op = ReduceOp::kAdd;
-    /** Already lifted at submit_send; replay re-sends verbatim. */
-    KvStream stream;
-
-    bool operator==(const WalSendState&) const = default;
-};
-
 /** Everything a daemon restart rebuilds from its WAL. */
 struct WalDaemonState
 {
     /** Live (not yet done) receive tasks. */
     std::map<TaskId, WalRxTaskState> rx_tasks;
-    /** Live archived sends (submit without forget). */
-    std::map<TaskId, WalSendState> sends;
+    /** Live sends (submit without forget): per task, the record
+     *  indices of its kSendSubmit records in append order — replay
+     *  re-reads each one with Wal::read. */
+    std::map<TaskId, std::vector<std::size_t>> sends;
     /** Per-local-channel resume seq (max checkpoint). */
     std::map<std::uint32_t, Seq> resume_seq;
     /** Completed recoveries recorded in the log. */

@@ -10,8 +10,8 @@
  * value flow uses core::reduce_lift / apply_op (the production
  * algebra); and the recovery events replay AskCluster's choreography
  * verbatim (abort senders -> clear regions -> fence at the cursor ->
- * reset the receiver partial -> replay the full archive with new
- * sequence numbers; see cluster.cc global_replay_reset).
+ * reset the receiver partial -> replay the full journaled stream with
+ * new sequence numbers; see cluster.cc reset_and_replay).
  *
  * What is abstracted: payload slots stand in for whole key-value
  * frames (exactly-once per frame implies exactly-once per tuple — the

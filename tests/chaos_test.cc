@@ -199,7 +199,7 @@ TEST(Chaos, DataBlackholeDegradesToHostAggregation)
     ChaosStats cs = cluster.chaos_stats();
     EXPECT_EQ(cs.data_blackholes, 1u);
     EXPECT_GE(cs.degraded_entries, 1u);  // at least one sender fell back
-    EXPECT_GT(cluster.switch_stats().blackholed, 0u);
+    EXPECT_GT(cluster.switch_stats(SwitchId{0}).blackholed, 0u);
     // Everything after the fallback travels the long-key bypass.
     EXPECT_GT(cluster.total_host_stats().long_packets_sent, 0u);
     EXPECT_GT(cluster.total_host_stats().tuples_aggregated_locally, 0u);
@@ -225,7 +225,7 @@ TEST(Chaos, TransientBlackholeRecoversAndStaysExact)
     TaskResult r = cluster.run_task(1, 0, streams);
     ASSERT_TRUE(r.ok()) << r.report.detail;
     EXPECT_EQ(r.result, truth);
-    EXPECT_GT(cluster.switch_stats().blackholed, 0u);
+    EXPECT_GT(cluster.switch_stats(SwitchId{0}).blackholed, 0u);
     EXPECT_EQ(cluster.chaos_stats().degraded_entries, 0u);
 }
 
@@ -666,6 +666,45 @@ TEST(Chaos, CorruptWalAbortsTaskWithHostCrashedStatus)
     EXPECT_FALSE(report.ok());
     EXPECT_EQ(report.status, TaskStatus::kHostCrashed) << report.detail;
     ChaosStats cs = cluster.chaos_stats();
+    EXPECT_EQ(cs.wal_rejected, 1u);
+    EXPECT_GE(cs.crash_aborted_tasks, 1u);
+}
+
+TEST(Chaos, CorruptSendRecordFailsReplayWithHostCrashedStatus)
+{
+    // Replay re-reads each stream from the sender's WAL, its only copy.
+    // Damage the live sender's kSendSubmit record, then reboot the
+    // switch: the replay must reject the record (typed error, no abort)
+    // and fail the task with kHostCrashed.
+    ClusterConfig cc = base_config();
+    cc.seed = 149;
+    std::vector<StreamSpec> streams = two_streams(149, 1000);
+    sim::SimTime mid = undisturbed_finish_time(cc, streams) / 2;
+
+    AskCluster cluster(cc);
+    sim::ChaosPlan plan;
+    plan.switch_reboot(mid, 200 * kMicrosecond);
+    cluster.arm_chaos(plan);
+    TaskReport report;
+    bool done = false;
+    cluster.submit_task(1, 0, streams, {},
+                        [&](AggregateMap, TaskReport rep) {
+                            report = std::move(rep);
+                            done = true;
+                        });
+    cluster.simulator().schedule_at(mid + 100 * kMicrosecond, [&] {
+        // While the switch is down. Host 1's first record is its
+        // kSendSubmit; byte 10 is inside the payload.
+        ASSERT_EQ(cluster.wal_store().host_wal(1).read(0).kind,
+                  WalRecordKind::kSendSubmit);
+        cluster.wal_store().host_wal(1).flip_byte(10);
+    });
+    cluster.run();
+
+    ASSERT_TRUE(done);
+    EXPECT_EQ(report.status, TaskStatus::kHostCrashed) << report.detail;
+    ChaosStats cs = cluster.chaos_stats();
+    EXPECT_EQ(cs.switch_reboots, 1u);
     EXPECT_EQ(cs.wal_rejected, 1u);
     EXPECT_GE(cs.crash_aborted_tasks, 1u);
 }

@@ -302,8 +302,8 @@ TEST(Protocol, CorpusWorkloadWithFaultsStaysExact)
     AggregateMap truth = truth_of(streams, AggOp::kAdd);
     TaskResult r = cluster.run_task(1, 0, streams);
     EXPECT_EQ(r.result, truth);
-    EXPECT_GT(cluster.switch_stats().long_packets, 0u);
-    EXPECT_GT(cluster.switch_stats().tuples_aggregated, 0u);
+    EXPECT_GT(cluster.switch_stats(SwitchId{0}).long_packets, 0u);
+    EXPECT_GT(cluster.switch_stats(SwitchId{0}).tuples_aggregated, 0u);
 }
 
 TEST(Protocol, SingleHostSelfAggregation)

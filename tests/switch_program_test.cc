@@ -807,7 +807,7 @@ TEST_F(RegionWipeTest, ReadRegionClearTouchesOnlyItsCopyAndRegion)
 }
 
 // A sender restarting mid-send makes the cluster discard every active
-// task's partial aggregates (clear_active_regions) before the replay.
+// task's partial aggregates (reset_and_replay) before the replay.
 TEST(RegionWipeCluster, ReplayResetZeroesActiveRegionsOnly)
 {
     ClusterConfig cc;
@@ -822,8 +822,8 @@ TEST(RegionWipeCluster, ReplayResetZeroesActiveRegionsOnly)
     cluster.submit_task(1, HostId{0}, {{HostId{1}, stream}},
                         {.region_len = 8});
 
-    AskSwitchProgram& program = cluster.program();
-    pisa::Pipeline& pipe = cluster.pisa_switch().pipeline();
+    AskSwitchProgram& program = cluster.program(SwitchId{0});
+    pisa::Pipeline& pipe = cluster.pisa_switch(SwitchId{0}).pipeline();
     const AskConfig& cfg = program.config();
     while (program.find_task(1) == nullptr)  // allocation is an RPC
         ASSERT_TRUE(cluster.simulator().step());

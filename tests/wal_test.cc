@@ -247,6 +247,45 @@ TEST(Wal, FramingIsByteIdenticalToTheGoldenLog)
     EXPECT_EQ(wal.replay(), rs);
 }
 
+TEST(Wal, ReadReturnsTheReplayedRecordAtEveryIndex)
+{
+    Wal wal("indexed");
+    for (const WalRecord& r : framing_corpus())
+        wal.append(r);
+    std::vector<WalRecord> replayed = wal.replay();
+    ASSERT_EQ(replayed.size(), wal.records());
+    for (std::size_t i = 0; i < replayed.size(); ++i)
+        EXPECT_EQ(wal.read(i), replayed[i]) << "record " << i;
+    EXPECT_THROW(wal.read(replayed.size()), StateError);
+}
+
+TEST(Wal, ReadOfADamagedRecordThrowsTypedError)
+{
+    Wal wal("damaged");
+    std::vector<WalRecord> rs = sample_records();
+    for (const WalRecord& r : rs)
+        wal.append(r);
+    // A payload byte of the first record: only that record is unreadable.
+    wal.flip_byte(10);
+    EXPECT_THROW(wal.read(0), StateError);
+    EXPECT_EQ(wal.read(1), rs[1]);
+    EXPECT_EQ(wal.read(2), rs[2]);
+}
+
+TEST(Wal, ReadOfATornRecordThrowsTypedError)
+{
+    Wal wal("torn-read");
+    std::vector<WalRecord> rs = sample_records();
+    for (const WalRecord& r : rs)
+        wal.append(r);
+    wal.truncate_tail(3);
+    EXPECT_EQ(wal.read(1), rs[1]);
+    EXPECT_THROW(wal.read(2), StateError);
+    // A tear that takes the whole frame, header included.
+    wal.truncate_tail(wal.size_bytes());
+    EXPECT_THROW(wal.read(0), StateError);
+}
+
 TEST(Wal, ParanoidModeVerifiesEveryAppend)
 {
     ASSERT_EQ(::setenv("ASK_WAL_PARANOID", "1", 1), 0);
@@ -325,27 +364,39 @@ TEST(WalRebuild, DoneRemovesTheTask)
     EXPECT_TRUE(state.rx_tasks.empty());
 }
 
-TEST(WalRebuild, SubmitsConcatenateAndForgetRemoves)
+TEST(WalRebuild, SubmitsIndexTheirRecordsAndForgetRemoves)
 {
+    // Each submit stays its own record: the fold lists their indices in
+    // append order, and replay re-reads receiver, op and the lifted
+    // stream from the log.
     WalRecord s1;
     s1.kind = WalRecordKind::kSendSubmit;
     s1.task = 5;
-    s1.arg0 = 2;  // receiver host
+    s1.arg0 = 2;  // receiver node
     s1.kvs = {{"x", 1}, {"y", 2}};
     WalRecord s2 = s1;
     s2.kvs = {{"z", 3}};
+    Wal wal("sender");
+    wal.append(s1);
+    wal.append(start_record(7, 1, false));  // unrelated record between
+    wal.append(s2);
 
-    WalDaemonState state = rebuild_daemon_state({s1, s2}, AggOp::kAdd);
+    WalDaemonState state = rebuild_daemon_state(wal.replay(), AggOp::kAdd);
     ASSERT_EQ(state.sends.size(), 1u);
-    const WalSendState& send = state.sends.at(5);
-    EXPECT_EQ(send.receiver, 2u);
-    ASSERT_EQ(send.stream.size(), 3u);
-    EXPECT_EQ(send.stream[2].key, "z");
+    ASSERT_EQ(state.sends.at(5), (std::vector<std::size_t>{0, 2}));
+    WalRecord first = wal.read(state.sends.at(5)[0]);
+    WalRecord second = wal.read(state.sends.at(5)[1]);
+    EXPECT_EQ(first.kind, WalRecordKind::kSendSubmit);
+    EXPECT_EQ(first.arg0, 2u);
+    EXPECT_EQ(first.kvs, s1.kvs);
+    EXPECT_EQ(second.arg0, 2u);
+    EXPECT_EQ(second.kvs, s2.kvs);
 
     WalRecord forget;
     forget.kind = WalRecordKind::kSendForget;
     forget.task = 5;
-    state = rebuild_daemon_state({s1, s2, forget}, AggOp::kAdd);
+    wal.append(forget);
+    state = rebuild_daemon_state(wal.replay(), AggOp::kAdd);
     EXPECT_TRUE(state.sends.empty());
 }
 
@@ -463,23 +514,31 @@ TEST(WalRebuild, PerTaskOpKvOverridesTheDefault)
 
 TEST(WalRebuild, SendSubmitRestoresItsOp)
 {
-    // The archived stream is journalled already lifted; arg1 carries the
-    // op so replay_task re-submits without a second lift, under the
-    // operator the application chose.
+    // The stream is journalled already lifted; arg1 carries the op so
+    // replay_task re-submits without a second lift, under the operator
+    // the application chose.
     WalRecord s;
     s.kind = WalRecordKind::kSendSubmit;
     s.task = 5;
-    s.arg0 = 2;  // receiver host
+    s.arg0 = 2;  // receiver node
     s.arg1 = static_cast<std::uint32_t>(AggOp::kCount);
     s.kvs = {{"x", 1}};
-    WalDaemonState state = rebuild_daemon_state({s}, AggOp::kAdd);
-    EXPECT_EQ(state.sends.at(5).op, AggOp::kCount);
+    Wal wal("op");
+    wal.append(s);
+    WalDaemonState state = rebuild_daemon_state(wal.replay(), AggOp::kAdd);
+    WalRecord read = wal.read(state.sends.at(5).at(0));
+    EXPECT_EQ(static_cast<AggOp>(read.arg1), AggOp::kCount);
+    EXPECT_EQ(read.arg0, 2u);
+    EXPECT_EQ(read.kvs, s.kvs);
 
     // Pre-op records carry arg1 == 0, which is kAdd — the only operator
-    // that existed when they were written.
+    // that existed when they were written — whatever the default op.
+    Wal pre_op("pre-op");
     s.arg1 = 0;
-    state = rebuild_daemon_state({s}, AggOp::kMax);
-    EXPECT_EQ(state.sends.at(5).op, AggOp::kAdd);
+    pre_op.append(s);
+    state = rebuild_daemon_state(pre_op.replay(), AggOp::kMax);
+    read = pre_op.read(state.sends.at(5).at(0));
+    EXPECT_EQ(static_cast<AggOp>(read.arg1), AggOp::kAdd);
 }
 
 TEST(WalRebuild, DataForUnknownTaskIsDropped)
