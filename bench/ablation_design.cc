@@ -25,7 +25,7 @@ double
 switch_fraction(bool shadow, const core::KvStream& stream)
 {
     core::ClusterConfig cc;
-    cc.num_hosts = 2;
+    cc.topology = core::TopologyBuilder().add_rack(2).build();
     cc.ask.max_hosts = 2;
     cc.ask.medium_groups = 0;
     cc.ask.shadow_copies = shadow;

@@ -46,7 +46,7 @@ ClusterConfig
 sweep_config()
 {
     ClusterConfig cc;
-    cc.num_hosts = 4;
+    cc.topology = core::TopologyBuilder().add_rack(4).build();
     cc.ask.max_hosts = 4;
     cc.ask.aggregators_per_aa = 512;
     cc.ask.swap_threshold_packets = 64;

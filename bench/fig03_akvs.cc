@@ -119,7 +119,7 @@ main(int argc, char** argv)
     double ask4 = 0;
     for (std::uint32_t ch : {1u, 2u, 4u}) {
         core::ClusterConfig cc;
-        cc.num_hosts = 2;
+        cc.topology = core::TopologyBuilder().add_rack(2).build();
         cc.ask.max_hosts = 2;
         cc.ask.channels_per_host = ch;
         cc.ask.medium_groups = 0;  // 4-byte uniform keys: all AAs short

@@ -27,7 +27,7 @@ double
 ask_jct_seconds(std::uint32_t channels, std::uint64_t sim_scale)
 {
     core::ClusterConfig cc;
-    cc.num_hosts = 2;
+    cc.topology = core::TopologyBuilder().add_rack(2).build();
     cc.ask.max_hosts = 2;
     cc.ask.channels_per_host = channels;
     cc.ask.medium_groups = 0;

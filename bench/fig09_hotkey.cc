@@ -22,7 +22,7 @@ switch_fraction(bool prioritize, std::uint32_t region_per_aa,
                 const core::KvStream& stream)
 {
     core::ClusterConfig cc;
-    cc.num_hosts = 2;
+    cc.topology = core::TopologyBuilder().add_rack(2).build();
     cc.ask.max_hosts = 2;
     cc.ask.medium_groups = 0;  // numeric keys: all AAs short
     cc.ask.shadow_copies = prioritize;

@@ -28,7 +28,7 @@ Rates
 ask_rates(std::uint32_t channels, std::uint64_t tuples)
 {
     core::ClusterConfig cc;
-    cc.num_hosts = 2;
+    cc.topology = core::TopologyBuilder().add_rack(2).build();
     cc.ask.max_hosts = 2;
     cc.ask.channels_per_host = channels;
     cc.ask.medium_groups = 0;

@@ -42,8 +42,8 @@ double
 ask_per_sender_gbps(std::uint32_t senders, std::uint64_t tuples_per_sender)
 {
     core::ClusterConfig cc;
-    cc.num_hosts = senders + 1;
-    cc.ask.max_hosts = cc.num_hosts;
+    cc.topology = core::TopologyBuilder().add_rack(senders + 1).build();
+    cc.ask.max_hosts = cc.topology->num_hosts();
     cc.ask.medium_groups = 0;
     core::AskCluster cluster(cc);
 

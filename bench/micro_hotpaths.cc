@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "ask/controller.h"
+#include "ask/fabric.h"
 #include "bench_util.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -102,7 +102,7 @@ switch_pass_bench(benchmark::State& state, core::ReduceOp op)
     cfg.max_hosts = 2;
     cfg.channels_per_host = 1;
     core::AskSwitchProgram program(cfg, sw);
-    core::AskSwitchController controller(program);
+    core::FabricController controller({&program});
     controller.allocate(1, 1024, op);
 
     core::KeySpace ks(cfg);
@@ -309,7 +309,7 @@ BM_RegionFetchRelease(benchmark::State& state)
     cfg.max_hosts = 2;
     cfg.channels_per_host = 1;
     core::AskSwitchProgram program(cfg, sw);
-    core::AskSwitchController controller(program);
+    core::FabricController controller({&program});
     pisa::RegisterArray* aa0 = sw.pipeline().find_array("aa_0");
     std::uint64_t fetched = 0;
     for (auto _ : state) {

@@ -29,7 +29,7 @@ measure(const workload::CorpusProfile& profile, std::uint64_t tuples,
     p.vocabulary /= vocab_scale;  // scaled with the stream volume
 
     core::ClusterConfig cc;
-    cc.num_hosts = 2;
+    cc.topology = core::TopologyBuilder().add_rack(2).build();
     cc.ask.max_hosts = 2;
     core::AskCluster cluster(cc);
 

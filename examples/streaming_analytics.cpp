@@ -26,7 +26,7 @@ main()
     using namespace ask;
 
     core::ClusterConfig cc;
-    cc.num_hosts = 4;
+    cc.topology = core::TopologyBuilder().add_rack(4).build();
     cc.ask.max_hosts = 4;
     cc.ask.medium_groups = 0;
     cc.ask.swap_threshold_packets = 128;       // aggressive hot-key swaps

@@ -29,7 +29,7 @@ main()
     workload::TextCorpus corpus(profile, 2026);
 
     core::ClusterConfig cc;
-    cc.num_hosts = 3;
+    cc.topology = core::TopologyBuilder().add_rack(3).build();
     cc.ask.max_hosts = 3;
     core::AskCluster cluster(cc);
 

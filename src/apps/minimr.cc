@@ -71,7 +71,7 @@ run_ask_backend(const MrJobSpec& spec)
 
     // --- Aggregation phase on the simulator (scaled volume).
     core::ClusterConfig cc;
-    cc.num_hosts = spec.machines;
+    cc.topology = core::TopologyBuilder().add_rack(spec.machines).build();
     cc.ask.channels_per_host = spec.ask_channels;
     cc.ask.max_hosts = spec.machines;
     cc.cost = spec.cost;

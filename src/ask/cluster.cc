@@ -9,17 +9,16 @@ namespace ask::core {
 
 namespace {
 
-/** The deployed layout: the config's explicit Topology, or a
- *  single-rack layout synthesized from the deprecated num_hosts. */
+/** The deployed layout: the config's explicit Topology, or the
+ *  default single rack of two servers. */
 Topology
 resolve_topology(const ClusterConfig& config)
 {
-    if (config.topology.has_value()) {
-        Topology topo = *config.topology;
-        topo.validate();
-        return topo;
-    }
-    return TopologyBuilder().add_rack(config.num_hosts).build();
+    if (!config.topology.has_value())
+        return TopologyBuilder().add_rack(2).build();
+    Topology topo = *config.topology;
+    topo.validate();
+    return topo;
 }
 
 /** Metric prefix for switch `s` of `topo`: rack 0's ToR keeps the
@@ -97,19 +96,11 @@ AskCluster::AskCluster(const ClusterConfig& config, sim::Simulator* external)
     for (auto& p : programs_)
         p->set_tracer(&obs_.tracer);
 
-    if (!fabric) {
-        controller_ = std::make_unique<AskSwitchController>(*programs_[0]);
-        controller_->set_wal(&wal_store_.controller_wal());
-        wal_store_.controller_wal().set_append_counter(
-            &chaos_stats_.wal_appends);
-    } else {
-        std::vector<AskSwitchProgram*> progs;
-        for (auto& p : programs_)
-            progs.push_back(p.get());
-        auto fab = std::make_unique<FabricController>(std::move(progs));
-        fab->attach_wals(wal_store_, &chaos_stats_.wal_appends);
-        controller_ = std::move(fab);
-    }
+    std::vector<AskSwitchProgram*> progs;
+    for (auto& p : programs_)
+        progs.push_back(p.get());
+    controller_ = std::make_unique<FabricController>(std::move(progs));
+    controller_->attach_wals(wal_store_, &chaos_stats_.wal_appends);
 
     MgmtRetryPolicy mgmt_policy;
     mgmt_policy.max_tries = config_.ask.mgmt_max_tries;
@@ -432,8 +423,8 @@ AskCluster::on_switch_reboot_end(const sim::ChaosEvent& e)
 
     // Recovery, in dependency order. (1) The controller re-installs
     // every journaled region — allocation truth lives host-side. The
-    // fabric fan-out is idempotent per switch: only the rebooted data
-    // plane is missing bindings.
+    // reinstall is idempotent per switch: only the rebooted data plane
+    // is missing bindings.
     chaos_stats_.regions_reinstalled += controller_->reinstall_after_reboot();
 
     // (2) Every active task restarts from its journaled streams.
@@ -597,12 +588,11 @@ AskCluster::restart_controller()
         ++chaos_stats_.wal_rejected;
         warn("cluster: controller WAL rejected (", e.what(),
              "); aborting every active task");
-        // One corrupt journal poisons the whole fan-out: clear every
-        // per-switch log and drop any partially-rebuilt journals so
-        // every sub-controller restarts consistently empty.
+        // One corrupt log poisons the journal: recovery rebuilt
+        // nothing, and clearing every per-switch log keeps the
+        // controller consistently empty from here on.
         for (std::uint32_t s = 0; s < num_switches(); ++s)
             wal_store_.wal(controller_wal_name(SwitchId{s})).clear();
-        controller_->crash();
         std::vector<TaskId> doomed;
         for (const auto& [task, info] : active_tasks_)
             doomed.push_back(task);

@@ -12,9 +12,9 @@
  * attached to it. A multi-rack topology wires a two-tier tree: each
  * rack's ToR runs an AskSwitchProgram provisioned for *its rack's
  * channel shard*, an aggregation-tier switch provisioned for every
- * channel merges the ToR partial aggregates, and a FabricController
- * fans the control plane out across all of them. See
- * docs/ARCHITECTURE.md for the life of a cross-rack DATA packet.
+ * channel merges the ToR partial aggregates, and one FabricController
+ * programs all of them. See docs/ARCHITECTURE.md for the life of a
+ * cross-rack DATA packet.
  */
 #ifndef ASK_ASK_CLUSTER_H
 #define ASK_ASK_CLUSTER_H
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "ask/config.h"
-#include "ask/controller.h"
 #include "ask/daemon.h"
 #include "ask/fabric.h"
 #include "ask/mgmt.h"
@@ -52,16 +51,11 @@ struct ClusterConfig
 
     /**
      * The physical layout: racks, hosts per rack, tier links. Build
-     * one with TopologyBuilder. When unset, a single-rack topology of
-     * `num_hosts` servers is synthesized (the pre-fabric behavior).
+     * one with TopologyBuilder. When unset, the deployment is a single
+     * rack of two servers.
      */
     std::optional<Topology> topology;
 
-    /** Servers attached to the ToR switch.
-     *  Deprecation note (back-compat shim): only consulted when
-     *  `topology` is unset; new callers should describe the layout
-     *  with TopologyBuilder instead. */
-    std::uint32_t num_hosts = 2;
     /** Per-port line rate (host <-> ToR). */
     double link_gbps = 100.0;
     /** One-way cable propagation delay (host <-> ToR). */
@@ -186,9 +180,8 @@ class AskCluster
         return switches_.at(s.value())->node_id();
     }
 
-    /** The control plane: a plain AskSwitchController for one rack, a
-     *  FabricController (fan-out) for several. */
-    AskSwitchController& controller() { return *controller_; }
+    /** The control plane: one controller over every switch. */
+    FabricController& controller() { return *controller_; }
 
     const ClusterConfig& config() const { return config_; }
 
@@ -338,7 +331,7 @@ class AskCluster
     /** One per SwitchId: ToRs 0..R-1, then the tier switch (if any). */
     std::vector<std::unique_ptr<pisa::PisaSwitch>> switches_;
     std::vector<std::unique_ptr<AskSwitchProgram>> programs_;
-    std::unique_ptr<AskSwitchController> controller_;
+    std::unique_ptr<FabricController> controller_;
     std::unique_ptr<MgmtPlane> mgmt_;
     std::vector<std::unique_ptr<AskDaemon>> daemons_;
     std::unique_ptr<sim::FaultScheduler> fault_scheduler_;

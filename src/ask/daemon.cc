@@ -421,12 +421,15 @@ DataChannel::finish_front_job()
 }
 
 void
-DataChannel::fail_front_job(TaskStatus status, const std::string& reason)
+DataChannel::drop_in_flight(std::optional<TaskId> abort_trace)
 {
-    ASK_ASSERT(!jobs_.empty(), "no job to fail");
     for (auto& [seq, entry] : in_flight_) {
         if (entry.timer != sim::kInvalidEvent)
             daemon_.simulator().cancel(entry.timer);
+        if (abort_trace.has_value())
+            ASK_TRACE(daemon_.tracer_, daemon_.simulator().now(),
+                      *abort_trace, global_id(), seq,
+                      obs::TraceStage::kAbort, entry.tries);
     }
     in_flight_.clear();
     if (fin_timer_ != sim::kInvalidEvent) {
@@ -435,6 +438,13 @@ DataChannel::fail_front_job(TaskStatus status, const std::string& reason)
     }
     fin_outstanding_ = false;
     fin_tries_ = 0;
+}
+
+void
+DataChannel::fail_front_job(TaskStatus status, const std::string& reason)
+{
+    ASK_ASSERT(!jobs_.empty(), "no job to fail");
+    drop_in_flight(std::nullopt);
 
     TaskId task = jobs_.front().task;
     // on_complete is deliberately NOT invoked: the stream was not
@@ -447,23 +457,9 @@ DataChannel::fail_front_job(TaskStatus status, const std::string& reason)
 void
 DataChannel::abort_task(TaskId task)
 {
-    if (!jobs_.empty() && jobs_.front().task == task) {
-        // In-flight frames always belong to the front job.
-        for (auto& [seq, entry] : in_flight_) {
-            if (entry.timer != sim::kInvalidEvent)
-                daemon_.simulator().cancel(entry.timer);
-            ASK_TRACE(daemon_.tracer_, daemon_.simulator().now(), task,
-                      global_id(), seq, obs::TraceStage::kAbort,
-                      entry.tries);
-        }
-        in_flight_.clear();
-        if (fin_timer_ != sim::kInvalidEvent) {
-            daemon_.simulator().cancel(fin_timer_);
-            fin_timer_ = sim::kInvalidEvent;
-        }
-        fin_outstanding_ = false;
-        fin_tries_ = 0;
-    }
+    // In-flight frames always belong to the front job.
+    if (!jobs_.empty() && jobs_.front().task == task)
+        drop_in_flight(task);
     std::erase_if(jobs_, [task](const SendJob& j) { return j.task == task; });
 }
 
@@ -548,18 +544,8 @@ DataChannel::finish_conversion(Seq seq, AskSwitchProgram::ProbeResult probe)
 void
 DataChannel::reset_after_crash(Seq resume)
 {
-    for (auto& [seq, entry] : in_flight_) {
-        if (entry.timer != sim::kInvalidEvent)
-            daemon_.simulator().cancel(entry.timer);
-    }
-    in_flight_.clear();
+    drop_in_flight(std::nullopt);
     jobs_.clear();
-    if (fin_timer_ != sim::kInvalidEvent) {
-        daemon_.simulator().cancel(fin_timer_);
-        fin_timer_ = sim::kInvalidEvent;
-    }
-    fin_outstanding_ = false;
-    fin_tries_ = 0;
     cwnd_ = 16;
     srtt_ns_ = 0.0;
     rttvar_ns_ = 0.0;
@@ -576,7 +562,7 @@ DataChannel::reset_after_crash(Seq resume)
 
 AskDaemon::AskDaemon(const AskConfig& config, const net::CostModel& cost_model,
                      net::Network& network, HostId host_index,
-                     net::NodeId switch_node, AskSwitchController& controller,
+                     net::NodeId switch_node, FabricController& controller,
                      MgmtPlane& mgmt, Wal& wal, obs::Observability* obs)
     : config_(config),
       key_space_(config),
@@ -856,10 +842,8 @@ AskDaemon::receive(net::Packet pkt)
         dispatch_to_sender_channel(*hdr, pkt);
         return;
       case PacketType::kData:
-        handle_data(std::move(pkt), *hdr);
-        return;
       case PacketType::kLongData:
-        handle_long_data(std::move(pkt), *hdr);
+        handle_data(std::move(pkt), *hdr);
         return;
       case PacketType::kFin:
         handle_fin(pkt, *hdr);
@@ -995,30 +979,15 @@ AskDaemon::process_data(ReceiveTask& task, const net::Packet& pkt,
         // absorbs, and must be durable before the absorption.
         KvStream decoded;
         if (hdr.type == PacketType::kData) {
-            for (std::uint32_t i = 0; i < config_.short_aas(); ++i) {
-                if (!(hdr.bitmap & (1ULL << i)))
-                    continue;
-                WireSlot slot = read_slot(pkt.data, i);
-                decoded.push_back(KvTuple{
-                    KeySpace::unpad(key_space_.decode_segment(slot.seg)),
-                    slot.value});
-            }
             for (std::uint32_t g = 0; g < config_.medium_groups; ++g) {
                 std::uint32_t mb = config_.medium_base(g);
-                if (!(hdr.bitmap & (1ULL << mb)))
-                    continue;
-                std::string padded;
-                Value value = 0;
-                for (std::uint32_t j = 0; j < config_.medium_segments; ++j) {
-                    ASK_ASSERT(hdr.bitmap & (1ULL << (mb + j)),
-                               "medium group bitmap must be all-or-nothing");
-                    WireSlot slot = read_slot(pkt.data, mb + j);
-                    padded += key_space_.decode_segment(slot.seg);
-                    if (j + 1 == config_.medium_segments)
-                        value = slot.value;
-                }
-                decoded.push_back(KvTuple{KeySpace::unpad(padded), value});
+                std::uint64_t group =
+                    ((1ULL << config_.medium_segments) - 1) << mb;
+                ASK_ASSERT(!(hdr.bitmap & (1ULL << mb)) ||
+                               (hdr.bitmap & group) == group,
+                           "medium group bitmap must be all-or-nothing");
             }
+            decoded = tuples_from_data_frame(pkt.data, hdr.bitmap);
         } else {  // kLongData
             decoded = parse_long_tuples(pkt.data);
         }
@@ -1053,12 +1022,6 @@ AskDaemon::process_data(ReceiveTask& task, const net::Packet& pkt,
     }
 
     maybe_start_swap(task, ch);
-}
-
-void
-AskDaemon::handle_long_data(net::Packet&& pkt, const AskHeader& hdr)
-{
-    handle_data(std::move(pkt), hdr);
 }
 
 void
@@ -1528,14 +1491,13 @@ AskDaemon::recover_from_wal(
         // Reconcile an interrupted swap: if the switch's epoch ran
         // ahead of the journaled commit, the SWAP was applied but the
         // retired copy never drained — finish the drain now.
-        if (controller_.program().find_task(task_id) != nullptr) {
-            std::uint32_t switch_epoch = controller_.current_epoch(task_id);
-            if (switch_epoch > t.committed_epoch) {
-                t.swap_in_flight = true;
-                t.swap_target = switch_epoch;
-                t.swap_tries = 0;
-                complete_swap(t);
-            }
+        std::optional<std::uint32_t> switch_epoch =
+            controller_.current_epoch(task_id);
+        if (switch_epoch.has_value() && *switch_epoch > t.committed_epoch) {
+            t.swap_in_flight = true;
+            t.swap_target = *switch_epoch;
+            t.swap_tries = 0;
+            complete_swap(t);
         }
 
         if (t.liveness_timeout_ns > 0)

@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "ask/config.h"
-#include "ask/controller.h"
+#include "ask/fabric.h"
 #include "ask/key_space.h"
 #include "ask/metrics.h"
 #include "ask/mgmt.h"
@@ -251,6 +251,11 @@ class DataChannel
     void send_fin(const SendJob& job);
     void finish_front_job();
 
+    /** Cancel every retransmission and FIN timer and forget the
+     *  in-flight frames and FIN state. With `abort_trace`, each dropped
+     *  frame records a kAbort span for that task. */
+    void drop_in_flight(std::optional<TaskId> abort_trace);
+
     /** Fail the front send job: drop its in-flight state, notify the
      *  daemon's task-failure handler, and move on to the next job. */
     void fail_front_job(TaskStatus status, const std::string& reason);
@@ -324,8 +329,8 @@ class AskDaemon : public net::Node
      *                     Strongly typed; a raw std::uint32_t still
      *                     converts implicitly (see the HostId shim).
      * @param switch_node  node id of this host's ToR switch on the fabric.
-     * @param controller   the switch control plane (the fabric controller
-     *                     in a multi-rack deployment).
+     * @param controller   the switch control plane (one controller over
+     *                     every switch of the deployment).
      * @param mgmt         the management network all controller RPCs use.
      * @param wal          this host's write-ahead log (the host's disk; it
      *                     outlives crash()). Every externally visible
@@ -339,7 +344,7 @@ class AskDaemon : public net::Node
      */
     AskDaemon(const AskConfig& config, const net::CostModel& cost_model,
               net::Network& network, HostId host_index,
-              net::NodeId switch_node, AskSwitchController& controller,
+              net::NodeId switch_node, FabricController& controller,
               MgmtPlane& mgmt, Wal& wal, obs::Observability* obs = nullptr);
 
     // ---- application-facing API ------------------------------------------
@@ -478,7 +483,7 @@ class AskDaemon : public net::Node
     HostStats& stats() { return stats_; }
     const ChaosStats& chaos_stats() const { return chaos_; }
     MgmtPlane& mgmt() { return mgmt_; }
-    AskSwitchController& controller() { return controller_; }
+    FabricController& controller() { return controller_; }
     DataChannel& channel(std::uint32_t i) { return *channels_.at(i); }
     std::uint32_t num_channels() const
     {
@@ -533,8 +538,9 @@ class AskDaemon : public net::Node
 
     void dispatch_to_sender_channel(const AskHeader& hdr,
                                     const net::Packet& pkt);
+    /** DATA and LONG_DATA alike: receive-window dedup per (channel,
+     *  seq), then host-side aggregation. */
     void handle_data(net::Packet&& pkt, const AskHeader& hdr);
-    void handle_long_data(net::Packet&& pkt, const AskHeader& hdr);
     void handle_fin(const net::Packet& pkt, const AskHeader& hdr);
     void handle_swap_ack(const AskHeader& hdr);
 
@@ -551,7 +557,7 @@ class AskDaemon : public net::Node
                              const std::string& reason);
 
     /** Decode the tuples of a DATA frame whose slot bit is in `mask`
-     *  (degraded-mode conversion to bypass frames). */
+     *  (receive path, and degraded-mode conversion to bypass frames). */
     KvStream tuples_from_data_frame(const std::vector<std::uint8_t>& frame,
                                     std::uint64_t mask) const;
 
@@ -563,7 +569,7 @@ class AskDaemon : public net::Node
     net::Network& network_;
     HostId host_index_;
     net::NodeId switch_node_;
-    AskSwitchController& controller_;
+    FabricController& controller_;
     MgmtPlane& mgmt_;
     /** Host write-ahead log (the host's disk: survives crash()). */
     Wal& wal_;

@@ -1,6 +1,5 @@
 #include "ask/fabric.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -16,132 +15,164 @@ controller_wal_name(SwitchId s)
 }
 
 FabricController::FabricController(std::vector<AskSwitchProgram*> programs)
-    : AskSwitchController(*programs.at(0)), programs_(std::move(programs))
+    : programs_(std::move(programs)),
+      capacity_(programs_.at(0)->config().copy_size()),
+      epoch_slot_used_(programs_.at(0)->config().max_tasks, false)
 {
-    subs_.reserve(programs_.size());
-    for (AskSwitchProgram* p : programs_) {
-        ASK_ASSERT(p != nullptr, "fabric controller over a null program");
-        subs_.push_back(std::make_unique<AskSwitchController>(*p));
-    }
+    for (AskSwitchProgram* p : programs_)
+        ASK_ASSERT(p != nullptr, "controller over a null program");
 }
 
 void
 FabricController::attach_wals(WalStore& store, std::uint64_t* append_counter)
 {
-    for (std::size_t s = 0; s < subs_.size(); ++s) {
-        Wal& wal = store.wal(
-            controller_wal_name(SwitchId{static_cast<std::uint32_t>(s)}));
+    for (std::uint32_t s = 0; s < num_switches(); ++s) {
+        Wal& wal = store.wal(controller_wal_name(SwitchId{s}));
         wal.set_append_counter(append_counter);
-        subs_[s]->set_wal(&wal);
+        wals_.push_back(&wal);
     }
+}
+
+void
+FabricController::append_to_logs(const WalRecord& r)
+{
+    for (Wal* wal : wals_)
+        wal->append(r);
 }
 
 std::optional<TaskRegion>
 FabricController::allocate(TaskId task, std::uint32_t len, ReduceOp op)
 {
-    // All-or-nothing: a task aggregates on every switch its packets
-    // cross, so a region that fits only some switches is useless.
-    // Sub-controllers see identical allocate/release sequences, so
-    // first-fit lands every task at the same base fabric-wide — but the
-    // rollback below keeps correctness independent of that symmetry.
-    std::optional<TaskRegion> first;
-    std::size_t done = 0;
-    for (; done < subs_.size(); ++done) {
-        std::optional<TaskRegion> r = subs_[done]->allocate(task, len, op);
-        if (!r.has_value())
+    if (len == 0 || len > capacity_)
+        return std::nullopt;
+
+    // First-fit over the gaps between allocated slices.
+    std::uint32_t cursor = 0;
+    std::uint32_t base = capacity_;  // sentinel: not found
+    for (const auto& [alloc_base, info] : allocated_) {
+        if (alloc_base - cursor >= len) {
+            base = cursor;
             break;
-        if (done == 0)
-            first = r;
-        else
-            ASK_ASSERT(r->base == first->base && r->len == first->len &&
-                           r->epoch_slot == first->epoch_slot &&
-                           r->op == first->op,
-                       "fabric switches diverged on task ", task,
-                       "'s region placement");
+        }
+        cursor = alloc_base + info.first.len;
     }
-    if (done == subs_.size())
-        return first;
-    for (std::size_t s = 0; s < done; ++s)
-        subs_[s]->release(task);
-    return std::nullopt;
+    if (base == capacity_) {
+        if (capacity_ - cursor >= len)
+            base = cursor;
+        else
+            return std::nullopt;
+    }
+
+    std::uint32_t epoch_slot = 0;
+    while (epoch_slot < epoch_slot_used_.size() && epoch_slot_used_[epoch_slot])
+        ++epoch_slot;
+    if (epoch_slot == epoch_slot_used_.size())
+        return std::nullopt;
+
+    TaskRegion region;
+    region.base = base;
+    region.len = len;
+    region.epoch_slot = epoch_slot;
+    region.op = op;
+
+    // Reject an undeclared operator BEFORE journaling or mutating: the
+    // install below would throw the same ConfigError, but only after
+    // the WAL and journal already recorded a region that never existed.
+    for (const AskSwitchProgram* p : programs_) {
+        if (p->access_plan().find_reduce_op(static_cast<std::uint8_t>(op)) ==
+            nullptr) {
+            fail_config("task ", task, " requests reduce op '",
+                        reduce_op_name(op), "' (id ",
+                        static_cast<unsigned>(op),
+                        "), which this switch program's access plan does "
+                        "not declare");
+        }
+    }
+
+    // Journal before acting: if we crash after this append, recovery
+    // rebuilds the allocation and re-installs it on the data planes.
+    WalRecord r;
+    r.kind = WalRecordKind::kAlloc;
+    r.task = task;
+    r.arg0 = base;
+    r.arg1 = len;
+    r.arg2 = epoch_slot;
+    r.kvs.emplace_back("op", static_cast<std::uint64_t>(op));
+    append_to_logs(r);
+    epoch_slot_used_[epoch_slot] = true;
+    allocated_[base] = {region, task};
+    fetched_.erase(task);  // a reused task id starts a fresh tally
+    for (AskSwitchProgram* p : programs_)
+        p->install_task(task, region);
+    return region;
 }
 
 void
 FabricController::release(TaskId task)
 {
-    // Attempt every switch even if one throws (a double release across
-    // a crash must not strand regions on the remaining switches), then
-    // surface the first failure.
-    std::optional<StateError> deferred;
-    for (auto& sub : subs_) {
-        try {
-            sub->release(task);
-        } catch (const StateError& e) {
-            if (!deferred.has_value())
-                deferred = e;
-        }
+    auto it = allocated_.begin();
+    while (it != allocated_.end() && it->second.second != task)
+        ++it;
+    if (it == allocated_.end())
+        fail_state("release of unknown task ", task);
+    WalRecord r;
+    r.kind = WalRecordKind::kRelease;
+    r.task = task;
+    r.arg0 = it->first;
+    append_to_logs(r);
+    epoch_slot_used_[it->second.first.epoch_slot] = false;
+    allocated_.erase(it);
+    // A future task reusing this slice starts blank on copy 0, epoch 0.
+    for (AskSwitchProgram* p : programs_) {
+        p->wipe_region(task);
+        p->remove_task(task);
     }
-    if (deferred.has_value())
-        throw *deferred;
 }
 
 void
 FabricController::crash()
 {
-    for (auto& sub : subs_)
-        sub->crash();
+    allocated_.clear();
+    epoch_slot_used_.assign(epoch_slot_used_.size(), false);
+    fetched_.clear();
 }
 
 std::uint32_t
 FabricController::recover_from_wal()
 {
-    // Each switch's journal replays independently; a digest mismatch on
-    // any of them throws and the cluster aborts the affected tasks.
-    std::uint32_t regions = 0;
-    for (auto& sub : subs_)
-        regions += sub->recover_from_wal();
-    return regions;
-}
-
-KvStream
-FabricController::fetch(TaskId task, std::uint32_t copy, bool clear)
-{
-    // Concatenate the per-switch slices: the software tier-merge. The
-    // caller folds keys split across switches with merge_stream_into()
-    // under the region's bound ReduceOp — a concatenation is op-agnostic,
-    // so min/max regions tier-merge just as correctly as sums.
-    KvStream out;
-    for (auto& sub : subs_) {
-        KvStream part = sub->fetch(task, copy, clear);
-        out.insert(out.end(), part.begin(), part.end());
+    ASK_ASSERT(!wals_.empty(), "controller recovery without a WAL");
+    // Throwing replay: a digest mismatch on any switch's log surfaces
+    // as StateError before anything is rebuilt, and the cluster aborts
+    // the affected tasks instead of trusting the logs.
+    std::vector<WalRecord> records = wals_.front()->replay();
+    for (std::size_t s = 1; s < wals_.size(); ++s)
+        wals_[s]->replay();
+    allocated_.clear();
+    epoch_slot_used_.assign(epoch_slot_used_.size(), false);
+    for (const WalRecord& r : records) {
+        if (r.kind == WalRecordKind::kAlloc) {
+            TaskRegion region;
+            region.base = r.arg0;
+            region.len = r.arg1;
+            region.epoch_slot = r.arg2;
+            // Pre-op journals carry no "op" kv; those regions were kAdd.
+            for (const auto& [key, value] : r.kvs)
+                if (key == "op")
+                    region.op = static_cast<ReduceOp>(value);
+            allocated_[region.base] = {region, r.task};
+            epoch_slot_used_[region.epoch_slot] = true;
+        } else if (r.kind == WalRecordKind::kRelease) {
+            auto it = allocated_.find(r.arg0);
+            if (it != allocated_.end() && it->second.second == r.task) {
+                epoch_slot_used_[it->second.first.epoch_slot] = false;
+                allocated_.erase(it);
+            }
+        }
     }
-    return out;
-}
-
-std::uint64_t
-FabricController::fetch_scan_entries(TaskId task) const
-{
-    std::uint64_t entries = 0;
-    for (const auto& sub : subs_)
-        entries += sub->fetch_scan_entries(task);
-    return entries;
-}
-
-std::uint32_t
-FabricController::current_epoch(TaskId task) const
-{
-    // Epochs advance in lock-step (and swaps are disabled in fabric
-    // mode); any switch's answer is the fabric's.
-    return subs_.front()->current_epoch(task);
-}
-
-std::uint32_t
-FabricController::free_aggregators() const
-{
-    std::uint32_t free = subs_.front()->free_aggregators();
-    for (const auto& sub : subs_)
-        free = std::min(free, sub->free_aggregators());
-    return free;
+    // The data planes survive a controller crash, but a switch reboot
+    // may have raced the outage; restore any missing install.
+    reinstall_after_reboot();
+    return static_cast<std::uint32_t>(allocated_.size());
 }
 
 std::uint32_t
@@ -150,8 +181,14 @@ FabricController::reinstall_after_reboot()
     // Idempotent per switch: only a switch whose data plane lost a
     // journaled binding (i.e. the one that rebooted) re-installs.
     std::uint32_t count = 0;
-    for (auto& sub : subs_)
-        count += sub->reinstall_after_reboot();
+    for (AskSwitchProgram* p : programs_) {
+        for (const auto& [base, info] : allocated_) {
+            if (p->find_task(info.second) == nullptr) {
+                p->install_task(info.second, info.first);
+                ++count;
+            }
+        }
+    }
     return count;
 }
 
@@ -160,9 +197,9 @@ FabricController::fence_channel(ChannelId channel, Seq next_seq)
 {
     // Fence everywhere the channel has reliability state: its owning
     // ToR and the aggregation tier.
-    for (std::size_t s = 0; s < subs_.size(); ++s)
-        if (programs_[s]->provisions(channel))
-            subs_[s]->fence_channel(channel, next_seq);
+    for (AskSwitchProgram* p : programs_)
+        if (p->provisions(channel))
+            p->fence_channel(channel, next_seq);
 }
 
 AskSwitchProgram::ProbeResult
@@ -173,10 +210,10 @@ FabricController::probe_packet(ChannelId channel, Seq seq) const
     // behalf), so `remaining` is the intersection over the switches
     // that observed the packet; `observed` is the union.
     AskSwitchProgram::ProbeResult merged;
-    for (std::size_t s = 0; s < subs_.size(); ++s) {
-        if (!programs_[s]->provisions(channel))
+    for (const AskSwitchProgram* p : programs_) {
+        if (!p->provisions(channel))
             continue;
-        AskSwitchProgram::ProbeResult r = subs_[s]->probe_packet(channel, seq);
+        AskSwitchProgram::ProbeResult r = p->probe_packet(channel, seq);
         if (!r.observed)
             continue;
         merged.remaining = merged.observed ? (merged.remaining & r.remaining)
@@ -186,14 +223,59 @@ FabricController::probe_packet(ChannelId channel, Seq seq) const
     return merged;
 }
 
+KvStream
+FabricController::fetch(TaskId task, std::uint32_t copy, bool clear)
+{
+    // Concatenate the per-switch slices: the software tier-merge. The
+    // caller folds keys split across switches with merge_stream_into()
+    // under the region's bound ReduceOp — a concatenation is op-agnostic,
+    // so min/max regions tier-merge just as correctly as sums.
+    std::vector<std::uint64_t>& tally =
+        fetched_.try_emplace(task, programs_.size(), 0).first->second;
+    KvStream out;
+    for (std::size_t s = 0; s < programs_.size(); ++s) {
+        KvStream part = programs_[s]->read_region(task, copy, clear);
+        tally[s] += part.size();
+        out.insert(out.end(), part.begin(), part.end());
+    }
+    return out;
+}
+
 std::vector<std::uint64_t>
 FabricController::fetched_tally(TaskId task) const
 {
-    std::vector<std::uint64_t> tally;
-    tally.reserve(subs_.size());
-    for (const auto& sub : subs_)
-        tally.push_back(sub->fetched_tally(task).at(0));
-    return tally;
+    auto it = fetched_.find(task);
+    if (it == fetched_.end())
+        return std::vector<std::uint64_t>(programs_.size(), 0);
+    return it->second;
+}
+
+std::uint64_t
+FabricController::fetch_scan_entries(TaskId task) const
+{
+    std::uint64_t entries = 0;
+    for (const AskSwitchProgram* p : programs_)
+        if (p->find_task(task) != nullptr)
+            entries += p->region_scan_entries(task);
+    return entries;
+}
+
+std::optional<std::uint32_t>
+FabricController::current_epoch(TaskId task) const
+{
+    const AskSwitchProgram& p = *programs_.front();
+    if (p.find_task(task) == nullptr)
+        return std::nullopt;
+    return p.current_epoch(task);
+}
+
+std::uint32_t
+FabricController::free_aggregators() const
+{
+    std::uint32_t used = 0;
+    for (const auto& [base, info] : allocated_)
+        used += info.first.len;
+    return capacity_ - used;
 }
 
 }  // namespace ask::core

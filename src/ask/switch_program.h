@@ -123,7 +123,7 @@ class AskSwitchProgram : public pisa::SwitchProgram
     /** The verified plan this program was installed from. */
     const pisa::verify::AccessPlan& access_plan() const { return plan_; }
 
-    // ---- control plane (used by AskSwitchController) --------------------
+    // ---- control plane (used by FabricController) -----------------------
 
     /** Bind a task to a region. */
     void install_task(TaskId task, const TaskRegion& region);
@@ -143,15 +143,6 @@ class AskSwitchProgram : public pisa::SwitchProgram
      * starts clean. Used on region release and recovery.
      */
     void wipe_region(TaskId task);
-
-    /**
-     * Multi-rack deployments (paper §7): restrict the aggregation (and
-     * all reliability state) to this ToR's local data channels
-     * [lo, hi). Traffic from other racks is forwarded untouched, so
-     * per-switch state stays bounded by the rack's own hosts. Default:
-     * every channel is local (single-rack deployment).
-     */
-    void set_local_channels(ChannelId lo, ChannelId hi);
 
     /** Does this switch hold reliability state for `channel`? */
     bool provisions(ChannelId channel) const
@@ -345,8 +336,6 @@ class AskSwitchProgram : public pisa::SwitchProgram
     /** Provisioned channel range (reliability-state coverage). */
     ChannelId prov_lo_ = 0;
     ChannelId prov_hi_ = 0;
-    ChannelId local_lo_ = 0;
-    ChannelId local_hi_ = 0;  ///< 0,0 = every provisioned channel is local
     bool data_blackhole_ = false;
     bool tree_leaf_ = false;  ///< leaf ToR: forward residuals, never consume
     obs::PacketTracer* tracer_ = nullptr;  ///< borrowed, may be null

@@ -414,12 +414,6 @@ WalStore::host_wal(std::uint32_t host)
     return wal("host" + std::to_string(host));
 }
 
-Wal&
-WalStore::controller_wal()
-{
-    return wal("controller");
-}
-
 obs::Json
 WalStore::describe() const
 {

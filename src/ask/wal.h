@@ -228,9 +228,6 @@ class WalStore
     /** The log for host daemon `host`. */
     Wal& host_wal(std::uint32_t host);
 
-    /** The controller's allocation journal log. */
-    Wal& controller_wal();
-
     obs::Json describe() const;
 
   private:

@@ -154,7 +154,7 @@ probe_recovery(const ScenarioSpec& spec, core::AskCluster& cluster,
         out.probe_failures.push_back({"post_recovery_equivalence", detail});
     };
 
-    for (std::uint32_t h = 0; h < spec.cluster.num_hosts; ++h) {
+    for (std::uint32_t h = 0; h < cluster.num_hosts(); ++h) {
         core::Wal& wal = cluster.wal_store().host_wal(h);
         if (!wal.verify()) {
             fail(wal.name() + ": log fails its digest check");
@@ -240,9 +240,9 @@ probe_model_reachability(const ScenarioSpec& spec, core::AskCluster& cluster,
     // Host side: channel cursors, in-flight seqs, and WAL promises.
     std::uint32_t cph = spec.cluster.ask.channels_per_host;
     std::vector<core::Seq> cursor(
-        static_cast<std::size_t>(spec.cluster.num_hosts) * cph, 0);
+        static_cast<std::size_t>(cluster.num_hosts()) * cph, 0);
     std::vector<std::optional<std::uint64_t>> promise(cursor.size());
-    for (std::uint32_t h = 0; h < spec.cluster.num_hosts; ++h) {
+    for (std::uint32_t h = 0; h < cluster.num_hosts(); ++h) {
         core::AskDaemon& daemon = cluster.daemon(core::HostId{h});
         core::Wal& wal = cluster.wal_store().host_wal(h);
         core::WalDaemonState folded;

@@ -64,7 +64,7 @@ ClusterConfig
 base_config()
 {
     ClusterConfig cc;
-    cc.num_hosts = 3;
+    cc.topology = TopologyBuilder().add_rack(3).build();
     cc.ask.max_hosts = 3;
     cc.ask.num_aas = 8;
     cc.ask.aggregators_per_aa = 128;
@@ -267,7 +267,8 @@ TEST(Chaos, RandomizedPlanOnLossyFabricStaysExact)
     AskCluster cluster(cc);
     cluster.arm_chaos(sim::ChaosPlan::randomized(
         /*seed=*/67, /*horizon=*/50 * kMillisecond, /*episodes=*/12,
-        /*num_hosts=*/cc.num_hosts, /*mean_duration=*/200 * kMicrosecond,
+        /*num_hosts=*/cc.topology->num_hosts(),
+        /*mean_duration=*/200 * kMicrosecond,
         /*intensity=*/0.4));
 
     TaskResult r = cluster.run_task(1, 0, streams);
@@ -585,7 +586,9 @@ TEST(Chaos, ControllerCrashMidTaskStaysExact)
     ChaosStats cs = cluster.chaos_stats();
     EXPECT_EQ(cs.controller_crashes, 1u);
     EXPECT_EQ(cs.controller_recoveries, 1u);
-    EXPECT_TRUE(cluster.wal_store().controller_wal().verify());
+    EXPECT_TRUE(cluster.wal_store()
+                    .wal(controller_wal_name(SwitchId{0}))
+                    .verify());
 }
 
 TEST(Chaos, ControllerCrashThenSwitchRebootStaysExact)

@@ -21,7 +21,7 @@ ClusterConfig
 small_cluster(std::uint32_t hosts)
 {
     ClusterConfig cc;
-    cc.num_hosts = hosts;
+    cc.topology = TopologyBuilder().add_rack(hosts).build();
     cc.ask.num_aas = 8;
     cc.ask.aggregators_per_aa = 256;
     cc.ask.medium_groups = 2;

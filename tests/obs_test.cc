@@ -223,7 +223,7 @@ ClusterConfig
 trace_config()
 {
     ClusterConfig cc;
-    cc.num_hosts = 3;
+    cc.topology = TopologyBuilder().add_rack(3).build();
     cc.ask.max_hosts = 3;
     cc.ask.num_aas = 8;
     cc.ask.aggregators_per_aa = 128;

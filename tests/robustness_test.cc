@@ -61,7 +61,7 @@ TEST_P(ReliabilitySweep, ExactUnderFaults)
 {
     auto [window, compact, loss] = GetParam();
     ClusterConfig cc;
-    cc.num_hosts = 3;
+    cc.topology = TopologyBuilder().add_rack(3).build();
     cc.ask.max_hosts = 3;
     cc.ask.num_aas = 8;
     cc.ask.aggregators_per_aa = 128;
@@ -105,7 +105,7 @@ TEST_P(LayoutSweep, ExactAcrossGeometries)
 {
     auto [aas, groups, channels] = GetParam();
     ClusterConfig cc;
-    cc.num_hosts = 2;
+    cc.topology = TopologyBuilder().add_rack(2).build();
     cc.ask.max_hosts = 2;
     cc.ask.num_aas = aas;
     cc.ask.medium_groups = groups;
@@ -137,7 +137,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(AggOps, MaxEndToEnd)
 {
     ClusterConfig cc;
-    cc.num_hosts = 2;
+    cc.topology = TopologyBuilder().add_rack(2).build();
     cc.ask.max_hosts = 2;
     cc.ask.num_aas = 8;
     cc.ask.aggregators_per_aa = 128;
@@ -161,7 +161,7 @@ TEST(AggOps, MaxEndToEnd)
 TEST(AggOps, MinEndToEnd)
 {
     ClusterConfig cc;
-    cc.num_hosts = 2;
+    cc.topology = TopologyBuilder().add_rack(2).build();
     cc.ask.max_hosts = 2;
     cc.ask.num_aas = 8;
     cc.ask.aggregators_per_aa = 128;
@@ -189,7 +189,7 @@ TEST(AggOps, SwitchAddWrapsAt32Bits)
     EXPECT_EQ(apply_op(AggOp::kAdd, 0xffffffffu, 2u), 1u);
 
     ClusterConfig cc;
-    cc.num_hosts = 2;
+    cc.topology = TopologyBuilder().add_rack(2).build();
     cc.ask.max_hosts = 2;
     cc.ask.num_aas = 4;
     cc.ask.aggregators_per_aa = 16;
@@ -210,7 +210,7 @@ TEST(AggOps, SwitchAddWrapsAt32Bits)
 TEST(Protocol, FinSurvivesHeavyLoss)
 {
     ClusterConfig cc;
-    cc.num_hosts = 2;
+    cc.topology = TopologyBuilder().add_rack(2).build();
     cc.ask.max_hosts = 2;
     cc.ask.num_aas = 8;
     cc.ask.aggregators_per_aa = 128;
@@ -233,7 +233,7 @@ TEST(Protocol, ChannelServesTasksFifo)
     // Two tasks that hash to the same sender channel complete in
     // submission order (the channel serves send jobs FIFO, §3.1).
     ClusterConfig cc;
-    cc.num_hosts = 2;
+    cc.topology = TopologyBuilder().add_rack(2).build();
     cc.ask.max_hosts = 2;
     cc.ask.num_aas = 8;
     cc.ask.aggregators_per_aa = 256;
@@ -261,7 +261,7 @@ TEST(Protocol, ChannelServesTasksFifo)
 TEST(Protocol, ManySequentialTasksDoNotLeakSwitchMemory)
 {
     ClusterConfig cc;
-    cc.num_hosts = 2;
+    cc.topology = TopologyBuilder().add_rack(2).build();
     cc.ask.max_hosts = 2;
     cc.ask.num_aas = 8;
     cc.ask.aggregators_per_aa = 64;
@@ -286,7 +286,7 @@ TEST(Protocol, CorpusWorkloadWithFaultsStaysExact)
     // The full stack — variable-length corpus keys, medium-key groups,
     // long-key bypass, shadow swaps, faulty network — in one pot.
     ClusterConfig cc;
-    cc.num_hosts = 3;
+    cc.topology = TopologyBuilder().add_rack(3).build();
     cc.ask.max_hosts = 3;
     cc.ask.aggregators_per_aa = 512;
     cc.ask.swap_threshold_packets = 64;
@@ -311,7 +311,7 @@ TEST(Protocol, SingleHostSelfAggregation)
     // Degenerate deployment: the receiver aggregates its own stream
     // through the switch (a co-located mapper with no remote senders).
     ClusterConfig cc;
-    cc.num_hosts = 1;
+    cc.topology = TopologyBuilder().add_rack(1).build();
     cc.ask.max_hosts = 1;
     cc.ask.num_aas = 8;
     cc.ask.aggregators_per_aa = 64;
@@ -329,7 +329,7 @@ TEST(Protocol, LargeValuesSurviveWire)
 {
     // Values use the full 32-bit vPart range on the wire.
     ClusterConfig cc;
-    cc.num_hosts = 2;
+    cc.topology = TopologyBuilder().add_rack(2).build();
     cc.ask.max_hosts = 2;
     cc.ask.num_aas = 4;
     cc.ask.aggregators_per_aa = 64;

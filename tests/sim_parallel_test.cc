@@ -203,7 +203,7 @@ core::ClusterConfig
 small_cluster(std::uint32_t hosts)
 {
     core::ClusterConfig cc;
-    cc.num_hosts = hosts;
+    cc.topology = core::TopologyBuilder().add_rack(hosts).build();
     cc.ask.num_aas = 8;
     cc.ask.aggregators_per_aa = 256;
     cc.ask.medium_groups = 2;

@@ -13,7 +13,7 @@
 
 #include "common/logging.h"
 #include "ask/cluster.h"
-#include "ask/controller.h"
+#include "ask/fabric.h"
 #include "ask/packet_builder.h"
 #include "common/random.h"
 #include "ask/switch_program.h"
@@ -57,7 +57,7 @@ class SwitchProgramTest : public ::testing::Test
           sw_(network_, 16, pisa::kDefaultStageSramBytes),
           config_(test_config()),
           program_(config_, sw_),
-          controller_(program_),
+          controller_({&program_}),
           key_space_(config_)
     {
         network_.attach(&sw_);
@@ -129,7 +129,7 @@ class SwitchProgramTest : public ::testing::Test
     pisa::PisaSwitch sw_;
     AskConfig config_;
     AskSwitchProgram program_;
-    AskSwitchController controller_;
+    FabricController controller_;
     KeySpace key_space_;
     SinkNode sender_;
     SinkNode receiver_;
@@ -564,7 +564,7 @@ TEST(SwitchController, UndeclaredOpRejectedBeforeAllocation)
     AskConfig cfg = test_config();
     cfg.part_bits = 16;
     AskSwitchProgram program(cfg, sw);
-    AskSwitchController ctl(program);
+    FabricController ctl({&program});
 
     std::uint32_t free_before = ctl.free_aggregators();
     EXPECT_THROW(ctl.allocate(1, 10, ReduceOp::kFloat), ConfigError);
@@ -811,7 +811,7 @@ TEST_F(RegionWipeTest, ReadRegionClearTouchesOnlyItsCopyAndRegion)
 TEST(RegionWipeCluster, ReplayResetZeroesActiveRegionsOnly)
 {
     ClusterConfig cc;
-    cc.num_hosts = 2;
+    cc.topology = TopologyBuilder().add_rack(2).build();
     cc.ask = test_config();
     cc.ask.max_hosts = 2;
     cc.ask.window = 16;
@@ -978,7 +978,7 @@ TEST(SwitchController, AllocateReleaseReuse)
     pisa::PisaSwitch sw(network, 16, pisa::kDefaultStageSramBytes);
     AskConfig cfg = test_config();
     AskSwitchProgram program(cfg, sw);
-    AskSwitchController ctl(program);
+    FabricController ctl({&program});
 
     std::uint32_t cap = cfg.copy_size();
     EXPECT_EQ(ctl.free_aggregators(), cap);

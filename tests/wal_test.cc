@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "ask/fabric.h"
 #include "ask/wal.h"
 #include "common/logging.h"
 
@@ -303,7 +304,9 @@ TEST(WalStore, NamesOneLogPerProcess)
     WalStore store;
     EXPECT_EQ(store.host_wal(0).name(), "host0");
     EXPECT_EQ(store.host_wal(3).name(), "host3");
-    EXPECT_EQ(store.controller_wal().name(), "controller");
+    EXPECT_EQ(store.wal(controller_wal_name(SwitchId{0})).name(), "controller");
+    EXPECT_EQ(store.wal(controller_wal_name(SwitchId{2})).name(),
+              "controller.s2");
     // References are stable: the same process always gets the same log.
     store.host_wal(0).append(sample_records()[0]);
     EXPECT_EQ(store.host_wal(0).records(), 1u);
