@@ -17,6 +17,7 @@
 #include "ask/packet_builder.h"
 #include "ask/seen_window.h"
 #include "ask/switch_program.h"
+#include "ask/wal.h"
 #include "ask/wire.h"
 #include "common/hash.h"
 #include "common/random.h"
@@ -88,6 +89,27 @@ BM_PacketBuilderDrain(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_PacketBuilderDrain);
+
+/** Journaling one send submit: a kSendSubmit record framed from a
+ *  4096-tuple stream into a fresh log, image allocation included. */
+void
+BM_WalAppendSendSubmit(benchmark::State& state)
+{
+    Rng rng = seeded_rng("micro_hotpaths", 3);
+    core::KvStream stream;
+    for (int i = 0; i < 4096; ++i)
+        stream.push_back({u64_key(rng.next_below(100000)), 1});
+    core::WalRecord header;
+    header.kind = core::WalRecordKind::kSendSubmit;
+    header.task = 1;
+    for (auto _ : state) {
+        core::Wal wal("micro_hotpaths");
+        wal.append(header, stream);
+        benchmark::DoNotOptimize(wal.digest());
+    }
+    state.SetItemsProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_WalAppendSendSubmit);
 
 /** One full DATA packet pass through the ASK switch program, with the
  *  task region bound to `op`. */

@@ -47,8 +47,52 @@ constexpr Seq kSeqCheckpointInterval = 64;
 // ---------------------------------------------------------------------------
 
 DataChannel::DataChannel(AskDaemon& daemon, std::uint32_t local_index)
-    : daemon_(daemon), local_index_(local_index)
+    : daemon_(daemon),
+      local_index_(local_index),
+      in_flight_(daemon.config().window)
 {
+}
+
+const DataChannel::InFlight*
+DataChannel::find_in_flight(Seq seq) const
+{
+    // The window is a power of two (AskConfig::validate), so seq % window
+    // is a mask that stays contiguous across seq wrap-around.
+    const InFlight& entry = in_flight_[seq & (in_flight_.size() - 1)];
+    return !entry.frame.empty() && entry.seq == seq ? &entry : nullptr;
+}
+
+void
+DataChannel::erase_in_flight(InFlight& entry)
+{
+    Seq seq = entry.seq;
+    entry = InFlight{};  // frees the frame
+    if (--in_flight_count_ > 0 && seq == in_flight_base_) {
+        while (find_in_flight(in_flight_base_) == nullptr)
+            ++in_flight_base_;
+    }
+}
+
+template <typename Fn>
+void
+DataChannel::for_each_in_flight(Fn&& fn)
+{
+    if (in_flight_count_ == 0)
+        return;
+    for (Seq seq = in_flight_base_; seq != next_seq_; ++seq)
+        if (InFlight* entry = find_in_flight(seq))
+            fn(*entry);
+}
+
+std::vector<Seq>
+DataChannel::in_flight_seqs() const
+{
+    std::vector<Seq> seqs;
+    seqs.reserve(in_flight_count_);
+    for (Seq seq = in_flight_base_; seqs.size() < in_flight_count_; ++seq)
+        if (find_in_flight(seq) != nullptr)
+            seqs.push_back(seq);
+    return seqs;
 }
 
 ChannelId
@@ -140,7 +184,7 @@ DataChannel::pump()
         if (job.builder->empty()) {
             // All frames ACKed and none pending: close the task on this
             // channel with a (reliable) FIN.
-            if (in_flight_.empty()) {
+            if (in_flight_count_ == 0) {
                 send_fin(job);
             }
             return;
@@ -148,9 +192,9 @@ DataChannel::pump()
 
         // Window check: at most min(cwnd, W) packets outstanding,
         // spanning < W sequence numbers.
-        Seq base = in_flight_.empty() ? next_seq_ : in_flight_.begin()->first;
+        Seq base = in_flight_count_ == 0 ? next_seq_ : in_flight_base_;
         std::uint32_t window = std::min(cwnd_, cfg.window);
-        if (next_seq_ >= base + window || in_flight_.size() >= window)
+        if (next_seq_ >= base + window || in_flight_count_ >= window)
             return;
 
         // Core pacing: one packet per tx_cost of CPU.
@@ -220,11 +264,13 @@ DataChannel::pump()
         ASK_TRACE(daemon_.tracer_, simulator.now(), job.task, global_id(),
                   seq, obs::TraceStage::kPacketize, 0,
                   job.replay ? obs::kTraceFlagReplay : std::uint8_t{0});
-        auto [it, inserted] =
-            in_flight_.emplace(seq, InFlight{std::move(frame), job.receiver,
-                                             sim::kInvalidEvent, 0, 0, type});
-        ASK_ASSERT(inserted, "duplicate in-flight seq");
-        (void)it;
+        InFlight& entry = in_flight_[seq & (in_flight_.size() - 1)];
+        ASK_ASSERT(entry.frame.empty(), "in-flight ring slot of seq ", seq,
+                   " still holds seq ", entry.seq);
+        entry = InFlight{seq, std::move(frame), job.receiver,
+                         sim::kInvalidEvent, 0, 0, type};
+        if (in_flight_count_++ == 0)
+            in_flight_base_ = seq;
         transmit(seq, /*is_retransmit=*/false);
     }
 }
@@ -232,9 +278,9 @@ DataChannel::pump()
 void
 DataChannel::transmit(Seq seq, bool is_retransmit)
 {
-    auto it = in_flight_.find(seq);
-    ASK_ASSERT(it != in_flight_.end(), "transmit of unknown seq ", seq);
-    InFlight& entry = it->second;
+    InFlight* found = find_in_flight(seq);
+    ASK_ASSERT(found != nullptr, "transmit of unknown seq ", seq);
+    InFlight& entry = *found;
 
     // Retransmission budget: a frame this persistent marks the path as
     // broken, not congested. For DATA the remedy is the bypass path;
@@ -319,13 +365,13 @@ DataChannel::observe_rtt(Nanoseconds sample)
 void
 DataChannel::arm_timer(Seq seq, sim::SimTime at)
 {
-    auto it = in_flight_.find(seq);
-    ASK_ASSERT(it != in_flight_.end(), "timer for unknown seq");
-    it->second.timer = daemon_.simulator().schedule_at(at, [this, seq] {
-        auto jt = in_flight_.find(seq);
-        if (jt == in_flight_.end())
+    InFlight* entry = find_in_flight(seq);
+    ASK_ASSERT(entry != nullptr, "timer for unknown seq");
+    entry->timer = daemon_.simulator().schedule_at(at, [this, seq] {
+        InFlight* pending = find_in_flight(seq);
+        if (pending == nullptr)
             return;  // ACKed in the meantime
-        jt->second.timer = sim::kInvalidEvent;
+        pending->timer = sim::kInvalidEvent;
         transmit(seq, /*is_retransmit=*/true);
     });
 }
@@ -333,18 +379,18 @@ DataChannel::arm_timer(Seq seq, sim::SimTime at)
 void
 DataChannel::on_ack(Seq seq)
 {
-    auto it = in_flight_.find(seq);
-    if (it == in_flight_.end())
+    InFlight* entry = find_in_flight(seq);
+    if (entry == nullptr)
         return;  // duplicate ACK (e.g. for a retransmitted packet)
-    if (it->second.timer != sim::kInvalidEvent)
-        daemon_.simulator().cancel(it->second.timer);
+    if (entry->timer != sim::kInvalidEvent)
+        daemon_.simulator().cancel(entry->timer);
     // Karn's rule: only un-retransmitted packets give clean RTT samples.
-    if (it->second.tries == 1)
-        observe_rtt(daemon_.simulator().now() - it->second.sent_at);
+    if (entry->tries == 1)
+        observe_rtt(daemon_.simulator().now() - entry->sent_at);
     ASK_TRACE(daemon_.tracer_, daemon_.simulator().now(),
               jobs_.empty() ? 0 : jobs_.front().task, global_id(), seq,
-              obs::TraceStage::kSenderAcked, it->second.tries);
-    in_flight_.erase(it);
+              obs::TraceStage::kSenderAcked, entry->tries);
+    erase_in_flight(*entry);
     cwnd_ = std::min(cwnd_ + 1, daemon_.config().window);
     // ACK processing occupies the core briefly (burst-amortized).
     charge(daemon_.cost_model().ctrl_cost_ns());
@@ -423,15 +469,16 @@ DataChannel::finish_front_job()
 void
 DataChannel::drop_in_flight(std::optional<TaskId> abort_trace)
 {
-    for (auto& [seq, entry] : in_flight_) {
+    for_each_in_flight([&](InFlight& entry) {
         if (entry.timer != sim::kInvalidEvent)
             daemon_.simulator().cancel(entry.timer);
         if (abort_trace.has_value())
             ASK_TRACE(daemon_.tracer_, daemon_.simulator().now(),
-                      *abort_trace, global_id(), seq,
+                      *abort_trace, global_id(), entry.seq,
                       obs::TraceStage::kAbort, entry.tries);
-    }
-    in_flight_.clear();
+        entry = InFlight{};
+    });
+    in_flight_count_ = 0;
     if (fin_timer_ != sim::kInvalidEvent) {
         daemon_.simulator().cancel(fin_timer_);
         fin_timer_ = sim::kInvalidEvent;
@@ -466,9 +513,9 @@ DataChannel::abort_task(TaskId task)
 void
 DataChannel::convert_in_flight_to_bypass()
 {
-    for (auto& [seq, entry] : in_flight_) {
+    for_each_in_flight([this](InFlight& entry) {
         if (entry.type != PacketType::kData)
-            continue;  // LONG frames keep retransmitting as they are
+            return;  // LONG frames keep retransmitting as they are
         if (entry.timer != sim::kInvalidEvent) {
             daemon_.simulator().cancel(entry.timer);
             entry.timer = sim::kInvalidEvent;
@@ -477,34 +524,34 @@ DataChannel::convert_in_flight_to_bypass()
         // the tuples the switch did NOT consume may be re-sent, or
         // register contents fetched at finalize would double-count them.
         ++daemon_.chaos_.probe_rpcs;
-        Seq s = seq;
+        Seq s = entry.seq;
         daemon_.mgmt_.call(
             [this, s] {
                 // Sequence numbers are never reused, so presence in
                 // in_flight_ proves the frame (and its job) still stand.
-                if (in_flight_.find(s) == in_flight_.end())
+                if (find_in_flight(s) == nullptr)
                     return;
                 finish_conversion(
                     s, daemon_.controller_.probe_packet(global_id(), s));
             },
             [this, s] {
-                if (in_flight_.find(s) == in_flight_.end())
+                if (find_in_flight(s) == nullptr)
                     return;
                 ++daemon_.chaos_.send_failures;
                 fail_front_job(
                     TaskStatus::kMgmtUnreachable,
                     "management probe unreachable during bypass conversion");
             });
-    }
+    });
     pump();
 }
 
 void
 DataChannel::finish_conversion(Seq seq, AskSwitchProgram::ProbeResult probe)
 {
-    auto it = in_flight_.find(seq);
-    ASK_ASSERT(it != in_flight_.end(), "conversion of unknown seq ", seq);
-    InFlight& entry = it->second;
+    InFlight* found = find_in_flight(seq);
+    ASK_ASSERT(found != nullptr, "conversion of unknown seq ", seq);
+    InFlight& entry = *found;
     auto hdr = parse_header(entry.frame);
     ASK_ASSERT(hdr && hdr->type == PacketType::kData,
                "conversion of a non-DATA frame");
@@ -514,7 +561,7 @@ DataChannel::finish_conversion(Seq seq, AskSwitchProgram::ProbeResult probe)
     if (unconsumed == 0) {
         // Fully aggregated switch-side; only the ACK was lost. The
         // tuples sit in the registers and arrive with the final fetch.
-        in_flight_.erase(it);
+        erase_in_flight(entry);
         pump();
         return;
     }
@@ -710,11 +757,8 @@ AskDaemon::submit_send(TaskId task, net::NodeId receiver, KvStream stream,
     r.task = task;
     r.arg0 = static_cast<std::uint32_t>(receiver);
     r.arg1 = static_cast<std::uint32_t>(rop);
-    r.kvs.reserve(stream.size());
-    for (const auto& t : stream)
-        r.kvs.emplace_back(t.key, static_cast<std::uint64_t>(t.value));
     sends_[task].push_back(wal_.records());
-    wal_.append(r);
+    wal_.append(r, stream);
     channel_for_task(task).submit_send(task, receiver, std::move(stream), rop,
                                        std::move(on_complete));
 }

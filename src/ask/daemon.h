@@ -28,6 +28,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ask/config.h"
@@ -176,15 +177,7 @@ class DataChannel
      * states; the fuzzer's reachability probe re-checks the relation on
      * live daemons through this accessor.
      */
-    std::vector<Seq>
-    in_flight_seqs() const
-    {
-        std::vector<Seq> seqs;
-        seqs.reserve(in_flight_.size());
-        for (const auto& [seq, entry] : in_flight_)
-            seqs.push_back(seq);
-        return seqs;
-    }
+    std::vector<Seq> in_flight_seqs() const;
 
     /** Enqueue a sending task (FIFO within the channel). `op` is the
      *  task's resolved reduction operator (stamped into every frame);
@@ -234,8 +227,11 @@ class DataChannel
         bool fenced = false;  ///< channel-bind fence issued (fabric only)
     };
 
+    /** One unACKed frame; a ring entry is live while `frame` is
+     *  non-empty. */
     struct InFlight
     {
+        Seq seq = 0;
         std::vector<std::uint8_t> frame;
         net::NodeId receiver = 0;
         sim::EventId timer = sim::kInvalidEvent;
@@ -243,6 +239,20 @@ class DataChannel
         sim::SimTime sent_at = 0;  ///< last transmission time (RTT sample)
         PacketType type = PacketType::kData;
     };
+
+    /** The live in-flight entry for `seq`, or nullptr. */
+    const InFlight* find_in_flight(Seq seq) const;
+    InFlight*
+    find_in_flight(Seq seq)
+    {
+        return const_cast<InFlight*>(std::as_const(*this).find_in_flight(seq));
+    }
+    /** Forget an ACKed or abandoned entry and free its frame. */
+    void erase_in_flight(InFlight& entry);
+    /** Visit every live entry in ascending seq order. `fn` must not
+     *  insert entries. */
+    template <typename Fn>
+    void for_each_in_flight(Fn&& fn);
 
     void pump();
     void schedule_pump(sim::SimTime at);
@@ -298,7 +308,13 @@ class DataChannel
      *  through it, so packetization allocates nothing per packet. */
     BuiltData built_scratch_;
     Seq next_seq_ = 0;
-    std::map<Seq, InFlight> in_flight_;
+    /** UnACKed frames, a ring of cfg.window entries indexed by
+     *  seq % window: pump() keeps every outstanding seq within < window
+     *  of the lowest one, so live entries never share a slot. */
+    std::vector<InFlight> in_flight_;
+    std::uint32_t in_flight_count_ = 0;
+    /** Lowest live seq; next_seq_ when nothing is in flight. */
+    Seq in_flight_base_ = 0;
     /** Congestion window (paper §7: a congestion-control window runs
      *  beneath the reliability window W). AIMD: +1 per ACK, halved on
      *  timeout, never above W. Prevents full-window bursts from

@@ -6,7 +6,9 @@
 namespace ask::core {
 
 KeySpace::KeySpace(const AskConfig& config)
-    : config_(config), agg_seed_mixed_(mix64(hash_seeds::kAggregatorAddress))
+    : config_(config),
+      agg_seed_mixed_(mix64(hash_seeds::kAggregatorAddress)),
+      part_seed_mixed_(mix64(hash_seeds::kKeyPartition))
 {
     config_.validate();
 }
@@ -35,16 +37,14 @@ std::uint32_t
 KeySpace::short_slot(const Key& key) const
 {
     ASK_ASSERT(classify(key) == KeyClass::kShort, "not a short key");
-    return static_cast<std::uint32_t>(
-        hash64(key, hash_seeds::kKeyPartition) % config_.short_aas());
+    return partition(key, KeyClass::kShort);
 }
 
 std::uint32_t
 KeySpace::medium_group(const Key& key) const
 {
     ASK_ASSERT(classify(key) == KeyClass::kMedium, "not a medium key");
-    return static_cast<std::uint32_t>(
-        hash64(key, hash_seeds::kKeyPartition) % config_.medium_groups);
+    return partition(key, KeyClass::kMedium);
 }
 
 std::string

@@ -56,6 +56,14 @@ class KeySpace
     std::uint32_t medium_group(const Key& key) const;
 
     /**
+     * Partition index of a key already classified as `cls` (kShort or
+     * kMedium): its slot or its medium group. short_slot() and
+     * medium_group() are this plus the classification check; the packet
+     * builder calls it directly with the class it has just computed.
+     */
+    std::uint32_t partition(std::string_view key, KeyClass cls) const;
+
+    /**
      * Wire segments of a key: the key NUL-padded to the class width and
      * cut into n-bit chunks (1 chunk for short keys, m for medium).
      * Each segment is returned as a little-endian integer of seg_bytes().
@@ -113,6 +121,8 @@ class KeySpace
     /** mix64(hash_seeds::kAggregatorAddress), hoisted out of the
      *  per-tuple addressing hash. */
     std::uint64_t agg_seed_mixed_;
+    /** mix64(hash_seeds::kKeyPartition), likewise for the partition. */
+    std::uint64_t part_seed_mixed_;
 };
 
 // ---- hot-path members, inline: one call per tuple each ------------------
@@ -141,6 +151,16 @@ KeySpace::encode_key_segment(std::string_view key,
         }
     }
     return v;
+}
+
+inline std::uint32_t
+KeySpace::partition(std::string_view key, KeyClass cls) const
+{
+    ASK_ASSERT(cls != KeyClass::kLong, "long keys have no partition");
+    std::uint64_t h = hash64_premixed(key, part_seed_mixed_);
+    return static_cast<std::uint32_t>(
+        h % (cls == KeyClass::kShort ? config_.short_aas()
+                                     : config_.medium_groups));
 }
 
 inline std::uint32_t

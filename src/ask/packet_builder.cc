@@ -1,5 +1,8 @@
 #include "ask/packet_builder.h"
 
+#include <algorithm>
+#include <string_view>
+
 #include "common/logging.h"
 
 namespace ask::core {
@@ -7,37 +10,107 @@ namespace ask::core {
 PacketBuilder::PacketBuilder(const KeySpace& key_space)
     : key_space_(key_space),
       config_(key_space.config()),
-      short_queues_(config_.short_aas()),
-      medium_queues_(config_.medium_groups)
+      queues_(config_.short_aas() + config_.medium_groups)
 {
+}
+
+std::uint32_t
+PacketBuilder::queue_of(const Key& key) const
+{
+    KeyClass cls = key_space_.classify(key);
+    switch (cls) {
+      case KeyClass::kShort:
+        return key_space_.partition(key, cls);
+      case KeyClass::kMedium:
+        return config_.short_aas() + key_space_.partition(key, cls);
+      case KeyClass::kLong:
+        break;
+    }
+    return kLongQueue;
+}
+
+std::uint32_t
+PacketBuilder::width(std::uint32_t q) const
+{
+    return q < config_.short_aas() ? 1 : config_.medium_segments;
+}
+
+void
+PacketBuilder::make_room(const std::vector<std::size_t>& room)
+{
+    std::size_t total = 0;
+    bool fits = true;
+    for (std::uint32_t q = 0; q < queues_.size(); ++q) {
+        fits = fits && queues_[q].end + room[q] <= queues_[q].limit;
+        total += queues_[q].queued() + room[q];
+    }
+    if (fits)
+        return;
+    std::vector<WireSlot> arena(total);
+    std::size_t pos = 0;
+    for (std::uint32_t q = 0; q < queues_.size(); ++q) {
+        SlotQueue& sq = queues_[q];
+        std::size_t queued = sq.queued();
+        std::copy_n(arena_.begin() + static_cast<std::ptrdiff_t>(sq.head),
+                    queued, arena.begin() + static_cast<std::ptrdiff_t>(pos));
+        sq = SlotQueue{pos, pos + queued, pos + queued + room[q]};
+        pos = sq.limit;
+    }
+    arena_ = std::move(arena);
+}
+
+void
+PacketBuilder::push(const KvTuple& tuple, std::uint32_t q)
+{
+    if (q == kLongQueue) {
+        long_queue_.push_back(tuple);
+        ++long_enqueued_;
+        return;
+    }
+    // Every segment of the key; a medium key's value rides in the last.
+    SlotQueue& sq = queues_[q];
+    std::uint32_t w = width(q);
+    for (std::uint32_t j = 0; j < w; ++j)
+        arena_[sq.end++] = {key_space_.encode_key_segment(tuple.key, j),
+                            j + 1 == w ? tuple.value : 0};
+    if (q < config_.short_aas())
+        ++short_enqueued_;
+    else
+        ++medium_enqueued_;
+    ++queued_data_;
 }
 
 void
 PacketBuilder::enqueue(const KvTuple& tuple)
 {
-    switch (key_space_.classify(tuple.key)) {
-      case KeyClass::kShort:
-        short_queues_[key_space_.short_slot(tuple.key)].push_back(tuple);
-        ++queued_data_;
-        ++short_enqueued_;
-        return;
-      case KeyClass::kMedium:
-        medium_queues_[key_space_.medium_group(tuple.key)].push_back(tuple);
-        ++queued_data_;
-        ++medium_enqueued_;
-        return;
-      case KeyClass::kLong:
-        long_queue_.push_back(tuple);
-        ++long_enqueued_;
-        return;
+    std::uint32_t q = queue_of(tuple.key);
+    if (q != kLongQueue && queues_[q].end + width(q) > queues_[q].limit) {
+        // Double every queue's room, so that tuple-at-a-time enqueues
+        // lay the arena out afresh only logarithmically often.
+        std::vector<std::size_t> room(queues_.size());
+        for (std::uint32_t i = 0; i < queues_.size(); ++i)
+            room[i] = queues_[i].queued();
+        room[q] += width(q);
+        make_room(room);
     }
+    push(tuple, q);
 }
 
 void
 PacketBuilder::enqueue(const KvStream& stream)
 {
-    for (const auto& t : stream)
-        enqueue(t);
+    // Pass 1 classifies and partitions every tuple and counts slots per
+    // queue; pass 2 encodes each tuple into room sized exactly.
+    std::vector<std::uint32_t> dest(stream.size());
+    std::vector<std::size_t> room(queues_.size(), 0);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        dest[i] = queue_of(stream[i].key);
+        if (dest[i] != kLongQueue)
+            room[dest[i]] += width(dest[i]);
+    }
+    make_room(room);
+    for (std::size_t i = 0; i < stream.size(); ++i)
+        push(stream[i], dest[i]);
 }
 
 std::optional<BuiltData>
@@ -60,34 +133,26 @@ PacketBuilder::next_data_into(BuiltData& out)
     out.valid_tuples = 0;
 
     for (std::uint32_t i = 0; i < config_.short_aas(); ++i) {
-        auto& q = short_queues_[i];
+        SlotQueue& q = queues_[i];
         if (q.empty())
             continue;
-        const KvTuple& t = q.front();
-        // encode_key_segment reads the key bytes directly: identical to
-        // encode_segment(padded(key), 0) without the padded copy.
-        out.slots[i] =
-            WireSlot{key_space_.encode_key_segment(t.key, 0), t.value};
+        out.slots[i] = arena_[q.head++];
         out.bitmap |= 1ULL << i;
         ++out.valid_tuples;
-        q.pop_front();
         --queued_data_;
     }
 
+    std::uint32_t m = config_.medium_segments;
     for (std::uint32_t g = 0; g < config_.medium_groups; ++g) {
-        auto& q = medium_queues_[g];
+        SlotQueue& q = queues_[config_.short_aas() + g];
         if (q.empty())
             continue;
-        const KvTuple& t = q.front();
         std::uint32_t mb = config_.medium_base(g);
-        for (std::uint32_t j = 0; j < config_.medium_segments; ++j) {
-            Value v = (j + 1 == config_.medium_segments) ? t.value : 0;
-            out.slots[mb + j] =
-                WireSlot{key_space_.encode_key_segment(t.key, j), v};
-            out.bitmap |= 1ULL << (mb + j);
-        }
+        std::copy_n(arena_.begin() + static_cast<std::ptrdiff_t>(q.head), m,
+                    out.slots.begin() + mb);
+        q.head += m;
+        out.bitmap |= ((1ULL << m) - 1) << mb;
         ++out.valid_tuples;
-        q.pop_front();
         --queued_data_;
     }
 
@@ -115,6 +180,16 @@ PacketBuilder::next_long_batch(std::uint32_t max_payload_bytes)
     return batch;
 }
 
+Key
+PacketBuilder::decode_key(const WireSlot* slots, std::uint32_t count) const
+{
+    std::uint32_t nb = config_.seg_bytes();
+    char buf[sizeof(std::uint32_t) * 64];  // seg_bytes() <= 4, <= 64 AAs
+    for (std::uint32_t j = 0; j < count; ++j)
+        key_space_.decode_segment_into(slots[j].seg, buf + j * nb);
+    return KeySpace::unpad(std::string_view(buf, count * nb));
+}
+
 std::optional<std::vector<KvTuple>>
 PacketBuilder::next_bypass_batch(std::uint32_t max_payload_bytes)
 {
@@ -123,29 +198,32 @@ PacketBuilder::next_bypass_batch(std::uint32_t max_payload_bytes)
 
     std::vector<KvTuple> batch;
     std::uint32_t bytes = 2;  // tuple-count field
-    auto take = [&](std::deque<KvTuple>& q, bool counts_as_data) {
-        while (!q.empty()) {
-            const KvTuple& t = q.front();
-            std::uint32_t need =
-                2 + static_cast<std::uint32_t>(t.key.size()) + 4;
-            if (!batch.empty() && bytes + need > max_payload_bytes)
-                return false;
-            bytes += need;
-            batch.push_back(t);
-            q.pop_front();
-            if (counts_as_data)
-                --queued_data_;
-        }
+    auto fits = [&](const Key& key) {
+        std::uint32_t need = 2 + static_cast<std::uint32_t>(key.size()) + 4;
+        if (!batch.empty() && bytes + need > max_payload_bytes)
+            return false;
+        bytes += need;
         return true;
     };
 
-    if (take(long_queue_, false)) {
-        for (auto& q : short_queues_)
-            if (!take(q, true))
-                break;
-        for (auto& q : medium_queues_)
-            if (!take(q, true))
-                break;
+    while (!long_queue_.empty()) {
+        if (!fits(long_queue_.front().key))
+            return batch;
+        batch.push_back(std::move(long_queue_.front()));
+        long_queue_.pop_front();
+    }
+    for (std::uint32_t q = 0; q < queues_.size(); ++q) {
+        SlotQueue& sq = queues_[q];
+        std::uint32_t w = width(q);
+        while (!sq.empty()) {
+            const WireSlot* head = arena_.data() + sq.head;
+            Key key = decode_key(head, w);
+            if (!fits(key))
+                return batch;
+            batch.push_back({std::move(key), head[w - 1].value});
+            sq.head += w;
+            --queued_data_;
+        }
     }
     return batch;
 }

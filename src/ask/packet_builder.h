@@ -9,6 +9,12 @@
  * same slot (and hence the same AA) in every packet; skewed datasets
  * leave slots blank, which is exactly the packing-efficiency effect
  * Figure 8(b) measures.
+ *
+ * Short and medium queues hold ready wire slots, not tuples: enqueue
+ * classifies, partitions and encodes each tuple once (8 bytes per
+ * short tuple, medium_segments slots per medium tuple, the value in the
+ * last), and building a packet only copies queue heads. Long keys have
+ * no wire slots and stay tuples.
  */
 #ifndef ASK_ASK_PACKET_BUILDER_H
 #define ASK_ASK_PACKET_BUILDER_H
@@ -80,19 +86,14 @@ class PacketBuilder
 
     /**
      * Degraded mode: pop the next batch of tuples of ANY class for the
-     * host-only bypass path — the long queue first, then the
-     * short/medium slot queues. Same wire format and size accounting as
-     * next_long_batch. std::nullopt when the builder is empty.
+     * host-only bypass path — the long queue first, then the short
+     * slot queues in slot order, then the medium groups. Queued slots
+     * decode back to their keys losslessly (keys hold no NUL). Same wire
+     * format and size accounting as next_long_batch. std::nullopt when
+     * the builder is empty.
      */
     std::optional<std::vector<KvTuple>> next_bypass_batch(
         std::uint32_t max_payload_bytes);
-
-    /**
-     * Degraded mode: route a tuple through the bypass queue regardless
-     * of its key class (used when abandoned in-flight DATA is converted
-     * to host-side aggregation).
-     */
-    void enqueue_bypass(const KvTuple& tuple) { long_queue_.push_back(tuple); }
 
     /** Tuples enqueued so far, by class. */
     std::uint64_t short_enqueued() const { return short_enqueued_; }
@@ -100,13 +101,46 @@ class PacketBuilder
     std::uint64_t long_enqueued() const { return long_enqueued_; }
 
   private:
+    /** One queue's region of the slot arena: queued slots [head, end),
+     *  free room [end, limit). A short tuple takes one slot, a medium
+     *  tuple medium_segments. */
+    struct SlotQueue
+    {
+        std::size_t head = 0;
+        std::size_t end = 0;
+        std::size_t limit = 0;
+
+        bool empty() const { return head == end; }
+        std::size_t queued() const { return end - head; }
+    };
+
+    /** queue_of() of a long key. */
+    static constexpr std::uint32_t kLongQueue = ~std::uint32_t{0};
+
+    /** Classify and partition a key (one NUL scan, one hash): short
+     *  slot i maps to queue i, medium group g to short_aas() + g, a long
+     *  key to kLongQueue. Throws StateError on an invalid key. */
+    std::uint32_t queue_of(const Key& key) const;
+    /** Slots one tuple of queue `q` takes. */
+    std::uint32_t width(std::uint32_t q) const;
+    /** Give every queue q room for room[q] more slots. When one lacks
+     *  it, the arena is laid out afresh: each queue's queued slots, then
+     *  its room, queue after queue. */
+    void make_room(const std::vector<std::size_t>& room);
+    /** Encode `tuple` at the back of queue `q` (which has room), or
+     *  append it to the long queue. */
+    void push(const KvTuple& tuple, std::uint32_t q);
+    /** Key of the tuple whose first slot is `slots[0]` (`count` slots). */
+    Key decode_key(const WireSlot* slots, std::uint32_t count) const;
+
     const KeySpace& key_space_;
     const AskConfig& config_;
 
-    /** One queue per short slot. */
-    std::vector<std::deque<KvTuple>> short_queues_;
-    /** One queue per medium group. */
-    std::vector<std::deque<KvTuple>> medium_queues_;
+    /** Every queued wire slot, one region per queue: a stream enqueued
+     *  into an empty builder is one allocation, sorted by queue. */
+    std::vector<WireSlot> arena_;
+    /** short_aas() short slot queues, then medium_groups group queues. */
+    std::vector<SlotQueue> queues_;
     std::deque<KvTuple> long_queue_;
     std::uint64_t queued_data_ = 0;
 

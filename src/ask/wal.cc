@@ -93,20 +93,36 @@ class Reader
     std::size_t off_ = 0;
 };
 
+/** Key and value of a journaled kv, from either container. */
+std::pair<std::string_view, std::uint64_t>
+kv_of(const std::pair<std::string, std::uint64_t>& kv)
+{
+    return {kv.first, kv.second};
+}
+
+std::pair<std::string_view, std::uint64_t>
+kv_of(const KvTuple& t)
+{
+    return {t.key, t.value};
+}
+
 /** Encoded payload size: kind byte, seven u32 fields (the last is the
  *  kv count), then per kv a u32 key length, the key and a u64 value. */
+template <typename Kvs>
 std::size_t
-payload_size(const WalRecord& r)
+payload_size(const Kvs& kvs)
 {
     std::size_t n = 1 + 7 * 4;
-    for (const auto& kv : r.kvs)
-        n += 4 + kv.first.size() + 8;
+    for (const auto& kv : kvs)
+        n += 4 + kv_of(kv).first.size() + 8;
     return n;
 }
 
-/** Encode `r`'s payload at `p`, which has payload_size(r) bytes. */
+/** Encode `r`'s fixed fields and `kvs` at `p`, which has
+ *  payload_size(kvs) bytes. */
+template <typename Kvs>
 void
-encode_payload(char* p, const WalRecord& r)
+encode_payload(char* p, const WalRecord& r, const Kvs& kvs)
 {
     *p++ = static_cast<char>(r.kind);
     p = store_u32(p, r.task);
@@ -115,8 +131,9 @@ encode_payload(char* p, const WalRecord& r)
     p = store_u32(p, r.arg0);
     p = store_u32(p, r.arg1);
     p = store_u32(p, r.arg2);
-    p = store_u32(p, static_cast<std::uint32_t>(r.kvs.size()));
-    for (const auto& [key, value] : r.kvs) {
+    p = store_u32(p, static_cast<std::uint32_t>(kvs.size()));
+    for (const auto& kv : kvs) {
+        auto [key, value] = kv_of(kv);
         p = store_u32(p, static_cast<std::uint32_t>(key.size()));
         std::memcpy(p, key.data(), key.size());
         p = store_u64(p + key.size(), value);
@@ -126,8 +143,8 @@ encode_payload(char* p, const WalRecord& r)
 std::string
 encode_record(const WalRecord& r)
 {
-    std::string payload(payload_size(r), '\0');
-    encode_payload(payload.data(), r);
+    std::string payload(payload_size(r.kvs), '\0');
+    encode_payload(payload.data(), r, r.kvs);
     return payload;
 }
 
@@ -223,19 +240,31 @@ Wal::Wal(std::string name) : name_(std::move(name))
     paranoid_ = p != nullptr && *p != '\0' && *p != '0';
 }
 
+template <typename Kvs>
 void
-Wal::append(const WalRecord& record)
+Wal::append_framed(const WalRecord& record, const Kvs& kvs)
 {
-    // Frame in place: size the record, encode the payload behind the
-    // header slot, hash it where it lies, then patch the header.
-    std::size_t len = payload_size(record);
-    std::size_t off = bytes_.size();
-    bytes_.resize(off + kFrameHeader + len);
-    char* frame = bytes_.data() + off;
-    encode_payload(frame + kFrameHeader, record);
+    std::size_t len = payload_size(kvs);
+    std::size_t off = size_;
+    std::size_t need = off + kFrameHeader + len;
+    if (need > capacity_) {
+        // Geometric growth into uninitialised storage: only the bytes
+        // already framed are copied, nothing is zero-filled.
+        std::size_t cap = std::max(need, 2 * capacity_);
+        auto grown = std::make_unique_for_overwrite<char[]>(cap);
+        if (off > 0)
+            std::memcpy(grown.get(), bytes_.get(), off);
+        bytes_ = std::move(grown);
+        capacity_ = cap;
+    }
+    // Frame in place: encode the payload behind the header slot, hash
+    // it where it lies, then patch the header.
+    char* frame = bytes_.get() + off;
+    encode_payload(frame + kFrameHeader, record, kvs);
     std::uint64_t h = fnv1a64(std::string_view(frame + kFrameHeader, len));
     store_u32(frame, static_cast<std::uint32_t>(len));
     store_u32(frame + 4, static_cast<std::uint32_t>(mix64(h)));
+    size_ = need;
     record_hashes_.push_back(h);
     record_offsets_.push_back(off);
     digest_ = mix64(digest_ ^ h);
@@ -244,6 +273,19 @@ Wal::append(const WalRecord& record)
     if (paranoid_)
         ASK_ASSERT(verify(), "WAL ", name_, " failed paranoid verify after ",
                    wal_record_kind_name(record.kind));
+}
+
+void
+Wal::append(const WalRecord& record)
+{
+    append_framed(record, record.kvs);
+}
+
+void
+Wal::append(const WalRecord& header, const KvStream& stream)
+{
+    ASK_ASSERT(header.kvs.empty(), "stream append with header kvs");
+    append_framed(header, stream);
 }
 
 std::vector<WalRecord>
@@ -262,22 +304,22 @@ Wal::replay(WalReplayStatus* status) const
                        what, ")");
     };
 
-    while (off < bytes_.size()) {
-        if (off + kFrameHeader > bytes_.size()) {
+    std::string_view bytes = image();
+    while (off < bytes.size()) {
+        if (off + kFrameHeader > bytes.size()) {
             st.torn_tail = true;  // crash mid-header
             break;
         }
-        Reader hdr(std::string_view(bytes_).substr(off, kFrameHeader));
+        Reader hdr(bytes.substr(off, kFrameHeader));
         std::uint32_t len = 0;
         std::uint32_t check = 0;
         hdr.u32(len);
         hdr.u32(check);
-        if (off + kFrameHeader + len > bytes_.size()) {
+        if (off + kFrameHeader + len > bytes.size()) {
             st.torn_tail = true;  // crash mid-payload
             break;
         }
-        std::string_view payload =
-            std::string_view(bytes_).substr(off + kFrameHeader, len);
+        std::string_view payload = bytes.substr(off + kFrameHeader, len);
         std::uint64_t h = fnv1a64(payload);
         std::size_t index = records.size();
         if (static_cast<std::uint32_t>(mix64(h)) != check ||
@@ -314,17 +356,17 @@ Wal::read(std::size_t index) const
         fail_state("WAL ", name_, ": record ", index, " at byte ", off,
                    " unreadable (", what, ")");
     };
-    if (off + kFrameHeader > bytes_.size())
+    std::string_view bytes = image();
+    if (off + kFrameHeader > bytes.size())
         damaged("torn frame header");
-    Reader hdr(std::string_view(bytes_).substr(off, kFrameHeader));
+    Reader hdr(bytes.substr(off, kFrameHeader));
     std::uint32_t len = 0;
     std::uint32_t check = 0;
     hdr.u32(len);
     hdr.u32(check);
-    if (off + kFrameHeader + len > bytes_.size())
+    if (off + kFrameHeader + len > bytes.size())
         damaged("torn payload");
-    std::string_view payload =
-        std::string_view(bytes_).substr(off + kFrameHeader, len);
+    std::string_view payload = bytes.substr(off + kFrameHeader, len);
     std::uint64_t h = fnv1a64(payload);
     if (static_cast<std::uint32_t>(mix64(h)) != check ||
         h != record_hashes_[index])
@@ -351,7 +393,7 @@ Wal::verify() const
 void
 Wal::clear()
 {
-    bytes_.clear();
+    size_ = 0;
     record_hashes_.clear();
     record_offsets_.clear();
     digest_ = 0;
@@ -363,7 +405,7 @@ Wal::describe() const
     obs::Json d = obs::Json::object();
     d.set("name", name_);
     d.set("records", static_cast<std::uint64_t>(record_hashes_.size()));
-    d.set("size_bytes", static_cast<std::uint64_t>(bytes_.size()));
+    d.set("size_bytes", static_cast<std::uint64_t>(size_));
     d.set("digest", std::to_string(digest_));
     WalReplayStatus st;
     std::vector<WalRecord> records = replay(&st);
@@ -389,13 +431,13 @@ Wal::describe() const
 void
 Wal::truncate_tail(std::size_t n)
 {
-    bytes_.resize(bytes_.size() - std::min(n, bytes_.size()));
+    size_ -= std::min(n, size_);
 }
 
 void
 Wal::flip_byte(std::size_t offset)
 {
-    ASK_ASSERT(offset < bytes_.size(), "flip_byte past WAL end");
+    ASK_ASSERT(offset < size_, "flip_byte past WAL end");
     bytes_[offset] = static_cast<char>(bytes_[offset] ^ 0x40);
 }
 

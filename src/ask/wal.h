@@ -37,8 +37,10 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -144,6 +146,12 @@ class Wal
      *  hash onto the segment list, hash folded into the root digest. */
     void append(const WalRecord& record);
 
+    /** Append `header` with kvs = `stream`'s (key, value) tuples, framed
+     *  straight from the stream: the same bytes, segment hash and digest
+     *  as append() of that record, without copying the stream into it.
+     *  `header.kvs` must be empty. */
+    void append(const WalRecord& header, const KvStream& stream);
+
     /** Records appended (== log segments). */
     std::size_t records() const { return record_hashes_.size(); }
 
@@ -187,7 +195,7 @@ class Wal
     obs::Json describe() const;
 
     /** Size of the byte image. */
-    std::size_t size_bytes() const { return bytes_.size(); }
+    std::size_t size_bytes() const { return size_; }
 
     /** Route append counting into an external stats counter. */
     void set_append_counter(std::uint64_t* counter)
@@ -202,8 +210,18 @@ class Wal
     void flip_byte(std::size_t offset);
 
   private:
+    /** Frame one record whose kvs are `kvs` onto the image. */
+    template <typename Kvs>
+    void append_framed(const WalRecord& record, const Kvs& kvs);
+
+    std::string_view image() const { return {bytes_.get(), size_}; }
+
     std::string name_;
-    std::string bytes_;
+    /** The byte image: size_ bytes in use of capacity_. Grown
+     *  geometrically; bytes past size_ are never initialised or read. */
+    std::unique_ptr<char[]> bytes_;
+    std::size_t size_ = 0;
+    std::size_t capacity_ = 0;
     std::vector<std::uint64_t> record_hashes_;
     /** Byte offset of each record's frame, parallel to record_hashes_. */
     std::vector<std::size_t> record_offsets_;

@@ -1,6 +1,7 @@
 /** Unit tests for sender-side packet construction (§3.2.2). */
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 #include <string>
 
@@ -277,6 +278,88 @@ TEST(PacketBuilder, DrainsEverythingExactlyOnce)
             break;
     }
     EXPECT_EQ(seen, truth);
+}
+
+
+TEST(PacketBuilder, BypassBatchDrainsLongThenShortThenMediumExactly)
+{
+    // Degraded mode drains every queued tuple through LONG framing: the
+    // long queue first, then the short slot queues in slot order, then
+    // the medium groups — each FIFO, keys decoded back from the queued
+    // wire slots. A reference model of the queues gives the exact order.
+    AskConfig c = cfg8();
+    KeySpace ks(c);
+    PacketBuilder b(ks);
+    Rng rng = seeded_rng("packet_builder_bypass", 3);
+
+    std::deque<KvTuple> long_ref;
+    std::vector<std::deque<KvTuple>> short_ref(c.short_aas());
+    std::vector<std::deque<KvTuple>> medium_ref(c.medium_groups);
+    KvStream stream;
+    for (int i = 0; i < 400; ++i) {
+        std::string key(1 + rng.next_below(14), ' ');
+        for (auto& ch : key)
+            ch = static_cast<char>('a' + rng.next_below(26));
+        Value v = i % 7 == 0 ? 0xFFFFFFFFu
+                             : static_cast<Value>(rng.next_below(1u << 30));
+        KvTuple t{key, v};
+        switch (ks.classify(key)) {
+          case KeyClass::kShort:
+            short_ref[ks.short_slot(key)].push_back(t);
+            break;
+          case KeyClass::kMedium:
+            medium_ref[ks.medium_group(key)].push_back(t);
+            break;
+          case KeyClass::kLong:
+            long_ref.push_back(t);
+            break;
+        }
+        stream.push_back(t);
+    }
+    ASSERT_FALSE(long_ref.empty());
+    b.enqueue(stream);
+
+    // A few DATA packets first: each takes the head of every queue.
+    BuiltData scratch;
+    for (int k = 0; k < 3; ++k) {
+        ASSERT_TRUE(b.next_data_into(scratch));
+        for (auto& q : short_ref)
+            if (!q.empty())
+                q.pop_front();
+        for (auto& q : medium_ref)
+            if (!q.empty())
+                q.pop_front();
+    }
+
+    KvStream expected(long_ref.begin(), long_ref.end());
+    for (const auto& q : short_ref)
+        expected.insert(expected.end(), q.begin(), q.end());
+    for (const auto& q : medium_ref)
+        expected.insert(expected.end(), q.begin(), q.end());
+
+    constexpr std::uint32_t kBudget = 64;
+    auto wire_bytes = [](const KvTuple& t) {
+        return 2 + static_cast<std::uint32_t>(t.key.size()) + 4;
+    };
+    KvStream drained;
+    while (auto batch = b.next_bypass_batch(kBudget)) {
+        ASSERT_FALSE(batch->empty());
+        std::uint32_t bytes = 2;
+        for (const KvTuple& t : *batch)
+            bytes += wire_bytes(t);
+        EXPECT_LE(bytes, kBudget);
+        drained.insert(drained.end(), batch->begin(), batch->end());
+        // Batches are greedy: the next tuple in line would overflow.
+        if (drained.size() < expected.size()) {
+            EXPECT_GT(bytes + wire_bytes(expected[drained.size()]), kBudget)
+                << "after " << drained.size() << " tuples";
+        }
+    }
+    EXPECT_EQ(drained, expected);
+    EXPECT_FALSE(b.has_data());
+    EXPECT_FALSE(b.has_long());
+    EXPECT_TRUE(b.empty());
+    EXPECT_FALSE(b.next_data_into(scratch));
 }
 
 }  // namespace

@@ -295,8 +295,9 @@ TEST(Simulator, MatchesReferenceQueueUnderRandomOperations)
             SimTime t = -1;
             bool any = s.next_event_time(&t);
             ASSERT_EQ(any, !model.empty());
-            if (any)
+            if (any) {
                 EXPECT_EQ(t, model.begin()->first.first);
+            }
         }
         ASSERT_EQ(s.now(), model_now) << "op " << op;
         ASSERT_EQ(s.pending(), model.size()) << "op " << op;

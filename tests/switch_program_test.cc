@@ -914,7 +914,7 @@ TEST_F(SwitchProgramTest, ReadRegionMatchesPerEntryReferenceScan)
     // Real traffic: short keys and medium keys over several packets.
     Seq seq = 0;
     for (int round = 0; round < 3; ++round)
-        for (const Key& key : {"aa", "bb", "cc", "medium-k", "medkey-2"})
+        for (const char* key : {"aa", "bb", "cc", "medium-k", "medkey-2"})
             inject(data_packet({{key, 1u + round}}, seq++));
     // Then random words, with empty aggregators mixed in, on both copies.
     Rng rng = seeded_rng("switch_program_test.scan", 5);

@@ -299,6 +299,98 @@ TEST(Wal, ParanoidModeVerifiesEveryAppend)
     EXPECT_EQ(wal.digest(), kCorpusDigest);
 }
 
+/** A kSendSubmit header as AskDaemon::submit_send journals it. */
+WalRecord
+send_header(TaskId task, std::uint32_t receiver)
+{
+    WalRecord r;
+    r.kind = WalRecordKind::kSendSubmit;
+    r.task = task;
+    r.arg0 = receiver;
+    r.arg1 = 2;
+    return r;
+}
+
+/** The same record with the stream copied into its kvs. */
+WalRecord
+with_kvs(WalRecord r, const KvStream& stream)
+{
+    for (const KvTuple& t : stream)
+        r.kvs.emplace_back(t.key, t.value);
+    return r;
+}
+
+TEST(Wal, StreamAppendMatchesTheRecordForm)
+{
+    // Framing a send record straight from the stream must leave the log
+    // exactly as appending the copied WalRecord does: bytes, segment
+    // hashes, digest and every re-read record.
+    std::vector<KvStream> streams = {
+        {},
+        {{std::string(300, 'k'), 7}, {"a", 0}},
+        {{"max", 0xFFFFFFFFu}, {"max-1", 0xFFFFFFFEu}, {"x", 0x80000000u}},
+    };
+    Wal by_record("by-record");
+    Wal by_stream("by-stream");
+    std::vector<WalRecord> others = framing_corpus();
+    for (std::size_t i = 0; i < others.size(); ++i) {
+        by_record.append(others[i]);
+        by_stream.append(others[i]);
+        const KvStream& s = streams[i % streams.size()];
+        WalRecord header = send_header(static_cast<TaskId>(i), 3);
+        by_record.append(with_kvs(header, s));
+        by_stream.append(header, s);
+    }
+    EXPECT_EQ(by_stream.size_bytes(), by_record.size_bytes());
+    EXPECT_EQ(by_stream.digest(), by_record.digest());
+    EXPECT_EQ(by_stream.segment_hashes(), by_record.segment_hashes());
+    ASSERT_EQ(by_stream.records(), by_record.records());
+    for (std::size_t i = 0; i < by_stream.records(); ++i)
+        EXPECT_EQ(by_stream.read(i), by_record.read(i)) << "record " << i;
+    EXPECT_TRUE(by_stream.verify());
+}
+
+TEST(Wal, GrownImageStillDetectsDamage)
+{
+    // Enough appends to move the image through many reallocations, past
+    // the size where the allocator switches to fresh mappings; damage
+    // must still be caught at the record it hits.
+    KvStream stream;
+    for (int i = 0; i < 64; ++i)
+        stream.push_back({"key-" + std::to_string(i), 0xFFFFFF00u + i});
+    Wal wal("grown");
+    constexpr std::size_t kRecords = 1000;
+    for (std::size_t i = 0; i < kRecords; ++i)
+        wal.append(send_header(static_cast<TaskId>(i), 1), stream);
+    ASSERT_GT(wal.size_bytes(), 1u << 20);
+    EXPECT_TRUE(wal.verify());
+    EXPECT_EQ(wal.read(kRecords - 1), with_kvs(send_header(kRecords - 1, 1),
+                                               stream));
+
+    // A flipped byte inside record 500 (every record has the same size):
+    // that record is unreadable, its neighbours are not.
+    std::size_t record_bytes = wal.size_bytes() / kRecords;
+    Wal damaged = std::move(wal);
+    damaged.flip_byte(500 * record_bytes + 20);
+    EXPECT_FALSE(damaged.verify());
+    EXPECT_THROW(damaged.read(500), StateError);
+    EXPECT_EQ(damaged.read(499), with_kvs(send_header(499, 1), stream));
+    EXPECT_EQ(damaged.read(501), with_kvs(send_header(501, 1), stream));
+    WalReplayStatus st;
+    EXPECT_EQ(damaged.replay(&st).size(), 500u);
+    EXPECT_TRUE(st.corrupt);
+
+    Wal torn("grown-torn");
+    for (std::size_t i = 0; i < kRecords; ++i)
+        torn.append(send_header(static_cast<TaskId>(i), 1), stream);
+    torn.truncate_tail(5);
+    EXPECT_FALSE(torn.verify());
+    EXPECT_THROW(torn.read(kRecords - 1), StateError);
+    EXPECT_EQ(torn.replay(&st).size(), kRecords - 1);
+    EXPECT_TRUE(st.torn_tail);
+    EXPECT_FALSE(st.corrupt);
+}
+
 TEST(WalStore, NamesOneLogPerProcess)
 {
     WalStore store;
