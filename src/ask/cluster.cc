@@ -1,5 +1,6 @@
 #include "ask/cluster.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -118,6 +119,12 @@ AskCluster::AskCluster(const ClusterConfig& config, sim::Simulator* external)
             config_.ask, cost_model, network_, HostId{h}, tor.node_id(),
             *controller_, *mgmt_, wal, &obs_));
         network_.attach(daemons_.back().get());
+        // A send job that fails for good ends its task with the job's
+        // status: the receiver would otherwise wait for it forever.
+        daemons_.back()->set_task_failure_handler(
+            [this](TaskId task, TaskStatus status, const std::string& reason) {
+                abort_active_task(task, status, reason);
+            });
         network_.connect(daemons_.back()->node_id(), tor.node_id(),
                          config_.link_gbps, config_.link_propagation_ns,
                          config_.faults, config_.seed + h);
@@ -172,14 +179,13 @@ AskCluster::AskCluster(const ClusterConfig& config, sim::Simulator* external)
 
 AskCluster::~AskCluster() = default;
 
-bool
-AskCluster::any_switch_offline() const
+void
+AskCluster::sync_mgmt_outage()
 {
-    for (const auto& s : switches_) {
-        if (s->offline())
-            return true;
-    }
-    return false;
+    bool switch_offline = std::ranges::any_of(
+        switches_, [](const auto& s) { return s->offline(); });
+    mgmt_->set_outage(open_mgmt_outages_ > 0 || controller_down_ ||
+                      switch_offline);
 }
 
 void
@@ -218,39 +224,21 @@ AskCluster::submit_task(TaskId task, HostId receiver_host,
     net::NodeId receiver_node = receiver.node_id();
     auto n_senders = static_cast<std::uint32_t>(streams.size());
 
-    // Register the task for chaos recovery: a switch reboot needs to
-    // know which hosts hold replayable streams for which tasks.
+    // Register the task: a switch reboot needs to know which hosts hold
+    // replayable streams for which tasks, and the completion callback
+    // lives here because a receiver crash destroys the daemon's copy.
     ActiveTask active;
     active.receiver_host = receiver_host.value();
     for (const auto& s : streams)
         active.sender_hosts.push_back(s.host.value());
+    active.on_done = std::move(on_done);
     active_tasks_[task] = std::move(active);
-
-    // The real completion callback lives in the cluster's registry, not
-    // in the daemon: a receiver crash destroys the daemon's copy, and
-    // recovery re-points the rebuilt task here via finish_task.
-    done_registry_[task] = [this, task, on_done = std::move(on_done)](
-                               AggregateMap result, TaskReport report) {
-        auto it = active_tasks_.find(task);
-        if (it != active_tasks_.end()) {
-            for (std::uint32_t h : it->second.sender_hosts) {
-                run_on_host(h,
-                            [this, h, task] { daemons_[h]->forget_task(task); });
-            }
-            active_tasks_.erase(it);
-        }
-        if (on_done)
-            on_done(std::move(result), std::move(report));
-    };
-    auto thin_done = [this, task](AggregateMap result, TaskReport report) {
-        finish_task(task, std::move(result), std::move(report));
-    };
 
     // §3.1 workflow: the receiver registers the task and obtains a switch
     // region; once ready, sender daemons are notified over the control
     // channel and begin streaming.
     receiver.start_receive(
-        task, n_senders, opts, std::move(thin_done),
+        task, n_senders, opts, done_fn(task),
         /*on_ready=*/[this, task, receiver_node, rop,
                       streams = std::move(streams)]() mutable {
             simulator_.schedule_after(
@@ -341,13 +329,12 @@ AskCluster::arm_chaos(const sim::ChaosPlan& plan)
         sim::ChaosKind::kMgmtOutage,
         [this](const sim::ChaosEvent&) {
             ++chaos_stats_.mgmt_outages;
-            mgmt_->set_outage(true);
+            ++open_mgmt_outages_;
+            sync_mgmt_outage();
         },
         [this](const sim::ChaosEvent&) {
-            // The window may overlap a controller crash or a switch
-            // reboot; the endpoint only comes back when nothing else
-            // keeps it dark.
-            mgmt_->set_outage(controller_down_ || any_switch_offline());
+            --open_mgmt_outages_;
+            sync_mgmt_outage();
         });
 
     fault_scheduler_->set_handler(
@@ -412,7 +399,7 @@ AskCluster::on_switch_reboot_start(const sim::ChaosEvent& e)
     sw.set_offline(true);
     sw.pipeline().wipe_registers();
     programs_[s.value()]->on_reboot();
-    mgmt_->set_outage(true);
+    sync_mgmt_outage();
 }
 
 void
@@ -431,10 +418,8 @@ AskCluster::on_switch_reboot_end(const sim::ChaosEvent& e)
     reset_and_replay();
 
     // (3) The switch CPU is back: management RPCs flow again — unless
-    // the controller process is itself down (or another switch of the
-    // fabric is still mid-reboot), in which case the endpoint stays
-    // dark until everything is up.
-    mgmt_->set_outage(controller_down_ || any_switch_offline());
+    // something else still keeps the endpoint dark.
+    sync_mgmt_outage();
 }
 
 void
@@ -446,14 +431,24 @@ AskCluster::run_on_host(std::uint32_t host, std::function<void()> fn)
         fn();
 }
 
+TaskDoneFn
+AskCluster::done_fn(TaskId task)
+{
+    return [this, task](AggregateMap result, TaskReport report) {
+        finish_task(task, std::move(result), std::move(report));
+    };
+}
+
 void
 AskCluster::finish_task(TaskId task, AggregateMap result, TaskReport report)
 {
-    auto it = done_registry_.find(task);
-    if (it == done_registry_.end())
+    auto it = active_tasks_.find(task);
+    if (it == active_tasks_.end())
         return;  // already delivered (e.g. aborted during recovery)
-    TaskDoneFn done = std::move(it->second);
-    done_registry_.erase(it);
+    ActiveTask info = std::move(it->second);
+    active_tasks_.erase(it);
+    for (std::uint32_t h : info.sender_hosts)
+        run_on_host(h, [this, h, task] { daemons_[h]->forget_task(task); });
     // Stamp the per-switch shard map: which switch owned which channel
     // shard, and how much of the result came out of each region.
     std::vector<std::uint64_t> tally = controller_->fetched_tally(task);
@@ -469,30 +464,42 @@ AskCluster::finish_task(TaskId task, AggregateMap result, TaskReport report)
         info.stats = programs_[s]->stats();
         report.shards.push_back(std::move(info));
     }
-    if (done)
-        done(std::move(result), std::move(report));
+    if (info.on_done)
+        info.on_done(std::move(result), std::move(report));
 }
 
-void
+bool
 AskCluster::abort_active_task(TaskId task, TaskStatus status,
                               const std::string& detail)
 {
     auto it = active_tasks_.find(task);
     if (it == active_tasks_.end())
-        return;
-    ++chaos_stats_.crash_aborted_tasks;
-    AskDaemon& receiver = *daemons_[it->second.receiver_host];
-    if (!receiver.crashed())
-        receiver.fail_receive_task(task, status, detail);
-    // fail_receive_task no-ops when the receiver holds no task state
-    // (crashed, or the task never rebuilt); deliver from the registry.
-    if (done_registry_.count(task) != 0) {
+        return false;
+    // Silence the task's senders first: its region is about to be
+    // released, and retransmissions into it could only fail.
+    for (std::uint32_t h : it->second.sender_hosts)
+        daemons_[h]->abort_send(task);
+    // A crashed receiver ends the task once its WAL rebuild brings it
+    // back; meanwhile (or if it never rebuilds) deliver from here.
+    std::uint32_t rh = it->second.receiver_host;
+    run_on_host(rh, [this, rh, task, status, detail] {
+        daemons_[rh]->fail_receive_task(task, status, detail);
+    });
+    if (active_tasks_.count(task) != 0) {
         TaskReport report;
         report.finish_time = simulator_.now();
         report.status = status;
         report.detail = detail;
         finish_task(task, AggregateMap{}, std::move(report));
     }
+    return true;
+}
+
+void
+AskCluster::abort_crashed_task(TaskId task, const std::string& detail)
+{
+    if (abort_active_task(task, TaskStatus::kHostCrashed, detail))
+        ++chaos_stats_.crash_aborted_tasks;
 }
 
 void
@@ -512,11 +519,7 @@ AskCluster::restart_host(HostId host)
     AskDaemon& d = *daemons_.at(h_idx);
     if (!d.crashed())
         return;
-    auto make_done = [this](TaskId task) -> TaskDoneFn {
-        return [this, task](AggregateMap result, TaskReport report) {
-            finish_task(task, std::move(result), std::move(report));
-        };
-    };
+    auto make_done = [this](TaskId task) { return done_fn(task); };
     try {
         d.recover_from_wal(make_done);
         ++chaos_stats_.host_recoveries;
@@ -537,8 +540,8 @@ AskCluster::restart_host(HostId host)
                 doomed.push_back(task);
         }
         for (TaskId task : doomed)
-            abort_active_task(task, TaskStatus::kHostCrashed,
-                              strf("host %u write-ahead log corrupt", h_idx));
+            abort_crashed_task(task,
+                               strf("host %u write-ahead log corrupt", h_idx));
         pending_on_restart_.erase(h_idx);
         return;
     }
@@ -555,7 +558,7 @@ AskCluster::restart_host(HostId host)
     // so which of its tuples the switch registers absorbed is
     // unknowable. Re-establish exactness from the journaled streams.
     for (const auto& [task, info] : active_tasks_) {
-        if (d.has_send_archive(task)) {
+        if (d.has_replayable_send(task)) {
             reset_and_replay();
             break;
         }
@@ -572,7 +575,7 @@ AskCluster::crash_controller()
     // The controller process hosts the management endpoint: RPCs fail
     // (and retry) until it restarts.
     controller_->crash();
-    mgmt_->set_outage(true);
+    sync_mgmt_outage();
 }
 
 void
@@ -597,11 +600,10 @@ AskCluster::restart_controller()
         for (const auto& [task, info] : active_tasks_)
             doomed.push_back(task);
         for (TaskId task : doomed)
-            abort_active_task(task, TaskStatus::kHostCrashed,
-                              "controller write-ahead log corrupt");
+            abort_crashed_task(task, "controller write-ahead log corrupt");
     }
-    // The endpoint returns — unless a switch is itself mid-reboot.
-    mgmt_->set_outage(any_switch_offline());
+    // The endpoint returns — unless something else keeps it dark.
+    sync_mgmt_outage();
 }
 
 void
@@ -675,9 +677,8 @@ AskCluster::reset_and_replay()
                         ++chaos_stats_.wal_rejected;
                         warn("cluster: host ", h, " WAL rejected (",
                              e.what(), ") during replay");
-                        abort_active_task(
-                            task, TaskStatus::kHostCrashed,
-                            strf("host %u write-ahead log corrupt", h));
+                        abort_crashed_task(
+                            task, strf("host %u write-ahead log corrupt", h));
                     }
                 });
             });

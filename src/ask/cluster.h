@@ -264,11 +264,13 @@ class AskCluster
      *  `external == nullptr` means own the simulator. */
     AskCluster(const ClusterConfig& config, sim::Simulator* external);
 
-    /** Tasks currently in flight, for reboot recovery. */
+    /** A task until its completion is delivered: its hosts (for reboot
+     *  recovery) and its real callback, which survives a receiver crash. */
     struct ActiveTask
     {
         std::uint32_t receiver_host = 0;
         std::vector<std::uint32_t> sender_hosts;
+        TaskDoneFn on_done;
     };
 
     void on_switch_reboot_start(const sim::ChaosEvent& e);
@@ -280,8 +282,9 @@ class AskCluster
         return SwitchId{e.subject % num_switches()};
     }
 
-    /** Any switch of the fabric currently offline (mgmt gating). */
-    bool any_switch_offline() const;
+    /** Management is dark while an outage window is open, the controller
+     *  is down or any switch is offline; re-applied at each change. */
+    void sync_mgmt_outage();
 
     /** The ToR serving `host`. */
     pisa::PisaSwitch& tor_of(std::uint32_t host)
@@ -294,13 +297,20 @@ class AskCluster
      *  and compose with — its WAL rebuild). */
     void run_on_host(std::uint32_t host, std::function<void()> fn);
 
-    /** Deliver (and drop from the registry) a task's completion,
-     *  stamping the per-switch shard map onto the report. */
+    /** The daemon-side completion callback of `task`: finish_task. */
+    TaskDoneFn done_fn(TaskId task);
+
+    /** Deliver a task's completion: drop it from the registry, forget
+     *  its sends, stamp the per-switch shard map and call its on_done. */
     void finish_task(TaskId task, AggregateMap result, TaskReport report);
 
-    /** Fail an active task whose durable state is unrecoverable. */
-    void abort_active_task(TaskId task, TaskStatus status,
+    /** Fail an active task: abort its senders' jobs and fail it at the
+     *  receiver. @return false when `task` is not active. */
+    bool abort_active_task(TaskId task, TaskStatus status,
                            const std::string& detail);
+
+    /** Fail a task whose durable state is lost (kHostCrashed). */
+    void abort_crashed_task(TaskId task, const std::string& detail);
 
     /**
      * The one replay choreography, shared by switch reboot and sender
@@ -340,16 +350,13 @@ class AskCluster
      *  void once recovery N+1 has re-fenced the channels (its frames
      *  would land on top of recovery N+1's own replay). */
     std::uint64_t recovery_epoch_ = 0;
-    /** The real per-task completion callbacks. A receiver crash
-     *  destroys the daemon-held std::function; recovery re-points the
-     *  rebuilt task at this registry, so the application still hears
-     *  the outcome. */
-    std::unordered_map<TaskId, TaskDoneFn> done_registry_;
     /** Recovery work aimed at a crashed host, drained at its restart
      *  (after the WAL rebuild it must compose with). */
     std::unordered_map<std::uint32_t, std::vector<std::function<void()>>>
         pending_on_restart_;
     bool controller_down_ = false;
+    /** kMgmtOutage windows currently open (they may overlap). */
+    std::uint32_t open_mgmt_outages_ = 0;
     ChaosStats chaos_stats_;
     std::unique_ptr<obs::Sampler> sampler_;
 };

@@ -208,19 +208,8 @@ DataChannel::pump()
         // included — through the bypass path in LONG framing.
         std::vector<std::uint8_t> frame;
         PacketType type;
-        if (daemon_.degraded()) {
-            auto batch = job.builder->next_bypass_batch(cfg.long_payload_bytes);
-            ASK_ASSERT(batch.has_value(), "builder non-empty but no frames");
-            AskHeader hdr;
-            hdr.type = PacketType::kLongData;
-            hdr.op = job.op;
-            hdr.channel_id = global_id();
-            hdr.task_id = job.task;
-            hdr.seq = next_seq_;
-            frame = make_long_frame(hdr, *batch);
-            type = PacketType::kLongData;
-            ++daemon_.stats().long_packets_sent;
-        } else if (job.builder->next_data_into(built_scratch_)) {
+        if (!daemon_.degraded() &&
+            job.builder->next_data_into(built_scratch_)) {
             AskHeader hdr;
             hdr.type = PacketType::kData;
             hdr.op = job.op;
@@ -235,7 +224,10 @@ DataChannel::pump()
             type = PacketType::kData;
             ++daemon_.stats().data_packets_sent;
         } else {
-            auto batch = job.builder->next_long_batch(cfg.long_payload_bytes);
+            auto batch =
+                daemon_.degraded()
+                    ? job.builder->next_bypass_batch(cfg.long_payload_bytes)
+                    : job.builder->next_long_batch(cfg.long_payload_bytes);
             ASK_ASSERT(batch.has_value(), "builder non-empty but no frames");
             AskHeader hdr;
             hdr.type = PacketType::kLongData;
@@ -700,33 +692,28 @@ AskDaemon::start_receive(TaskId task, std::uint32_t expected_senders,
             }
             ReceiveTask rx;
             rx.id = task;
-            rx.op = rop;
-            rx.expected_senders = expected_senders;
             rx.on_done = std::move(*done);
-            rx.report.start_time = simulator().now();
             rx.last_activity = simulator().now();
-            rx.swaps_disabled =
-                options.swap_policy == TaskOptions::SwapPolicy::kDisabled;
-            rx.liveness_timeout_ns =
-                options.sender_liveness_timeout_ns < 0
-                    ? config_.sender_liveness_timeout_ns
-                    : options.sender_liveness_timeout_ns;
+            Nanoseconds liveness = options.sender_liveness_timeout_ns < 0
+                                       ? config_.sender_liveness_timeout_ns
+                                       : options.sender_liveness_timeout_ns;
             WalRecord r;
             r.kind = WalRecordKind::kRxTaskStart;
             r.task = task;
             r.arg0 = expected_senders;
-            r.arg1 = rx.swaps_disabled ? 1 : 0;
+            r.arg1 =
+                options.swap_policy == TaskOptions::SwapPolicy::kDisabled
+                    ? 1
+                    : 0;
+            r.kvs.emplace_back("liveness_ns",
+                               static_cast<std::uint64_t>(liveness));
             r.kvs.emplace_back(
-                "liveness_ns",
-                static_cast<std::uint64_t>(rx.liveness_timeout_ns));
-            r.kvs.emplace_back(
-                "start_time",
-                static_cast<std::uint64_t>(rx.report.start_time));
-            r.kvs.emplace_back("op", static_cast<std::uint64_t>(rx.op));
-            wal_.append(r);
+                "start_time", static_cast<std::uint64_t>(simulator().now()));
+            r.kvs.emplace_back("op", static_cast<std::uint64_t>(rop));
+            journal(rx, r);
             auto [it, inserted] = rx_tasks_.emplace(task, std::move(rx));
             ASK_ASSERT(inserted, "task ", task, " already receiving here");
-            if (it->second.liveness_timeout_ns > 0)
+            if (it->second.liveness_timeout() > 0)
                 arm_liveness(task);
             if (on_ready)
                 on_ready();
@@ -883,7 +870,7 @@ AskDaemon::receive(net::Packet pkt)
     switch (hdr->type) {
       case PacketType::kAck:
       case PacketType::kFinAck:
-        dispatch_to_sender_channel(*hdr, pkt);
+        dispatch_to_sender_channel(*hdr);
         return;
       case PacketType::kData:
       case PacketType::kLongData:
@@ -903,10 +890,8 @@ AskDaemon::receive(net::Packet pkt)
 }
 
 void
-AskDaemon::dispatch_to_sender_channel(const AskHeader& hdr,
-                                      const net::Packet& pkt)
+AskDaemon::dispatch_to_sender_channel(const AskHeader& hdr)
 {
-    (void)pkt;
     std::uint32_t owner = hdr.channel_id / config_.channels_per_host;
     if (owner != host_index_) {
         warn(name(), ": ACK for channel ", hdr.channel_id,
@@ -918,17 +903,6 @@ AskDaemon::dispatch_to_sender_channel(const AskHeader& hdr,
         ch.on_ack(hdr.seq);
     else
         ch.on_fin_ack(hdr.task_id);
-}
-
-HostReceiveWindow&
-AskDaemon::window_for(ReceiveTask& task, ChannelId channel)
-{
-    auto it = task.windows.find(channel);
-    if (it == task.windows.end()) {
-        it = task.windows.emplace(channel, HostReceiveWindow(config_.window))
-                 .first;
-    }
-    return it->second;
 }
 
 void
@@ -1002,11 +976,13 @@ AskDaemon::process_data(ReceiveTask& task, const net::Packet& pkt,
     // (or corrupted header): drop it before the seen window so it neither
     // consumes a sequence number nor earns an ACK. This also covers the
     // LONG_DATA bypass path, which never crosses the switch's op check.
-    if (hdr.op != task.op) {
+    if (hdr.op != task.state.op) {
         ++stats_.op_mismatch_dropped;
         return;
     }
-    SeenOutcome outcome = window_for(task, hdr.channel_id).observe(hdr.seq);
+    SeenOutcome outcome =
+        task.windows.try_emplace(hdr.channel_id, config_.window)
+            .first->second.observe(hdr.seq);
     if (outcome == SeenOutcome::kStale)
         return;  // pre-window duplicate: the original was ACKed long ago
 
@@ -1040,24 +1016,15 @@ AskDaemon::process_data(ReceiveTask& task, const net::Packet& pkt,
         r.task = task.id;
         r.channel = hdr.channel_id;
         r.seq = hdr.seq;
-        r.kvs.reserve(decoded.size());
-        for (const auto& t : decoded)
-            r.kvs.emplace_back(t.key,
-                               static_cast<std::uint64_t>(t.value));
-        wal_.append(r);
+        journal(task, r, decoded);
         std::uint64_t tuples = decoded.size();
-        // Combine-only: the sender lifted every value at submit_send.
-        for (const auto& t : decoded)
-            accumulate(task.local, t.key, t.value, task.op);
         stats_.tuples_aggregated_locally += tuples;
-        task.report.tuples_aggregated_locally += tuples;
         ASK_TRACE(tracer_, simulator().now(), task.id, hdr.channel_id,
                   hdr.seq, obs::TraceStage::kHostAggregate, tuples);
         // Deferred aggregation is farmed out over the daemon's thread
         // pool round-robin, not pinned to the flow's RSS lane.
         channels_[bg_round_robin_++ % channels_.size()]->charge_background(
             cost_model_.host_aggregate_ns(tuples));
-        ++task.report.packets_received;
         ++task.packets_since_swap;
     } else {
         ++stats_.duplicates_received;
@@ -1065,7 +1032,7 @@ AskDaemon::process_data(ReceiveTask& task, const net::Packet& pkt,
                   hdr.seq, obs::TraceStage::kHostDuplicate);
     }
 
-    maybe_start_swap(task, ch);
+    maybe_start_swap(task);
 }
 
 void
@@ -1085,14 +1052,13 @@ AskDaemon::handle_fin(const net::Packet& pkt, const AskHeader& hdr)
         return;
     }
     task.last_activity = simulator().now();
-    if (task.fins.count(hdr.channel_id) == 0) {
+    if (task.state.fins.count(hdr.channel_id) == 0) {
         WalRecord r;
         r.kind = WalRecordKind::kRxFin;
         r.task = task.id;
         r.channel = hdr.channel_id;
-        wal_.append(r);
+        journal(task, r);
     }
-    task.fins.insert(hdr.channel_id);
     DataChannel& ch = channel_for_task(hdr.task_id);
     ch.charge(cost_model_.rx_cost_ns(pkt.data.size()) +
               cost_model_.ctrl_cost_ns());
@@ -1101,17 +1067,17 @@ AskDaemon::handle_fin(const net::Packet& pkt, const AskHeader& hdr)
 }
 
 void
-AskDaemon::maybe_start_swap(ReceiveTask& task, DataChannel& ch)
+AskDaemon::maybe_start_swap(ReceiveTask& task)
 {
-    (void)ch;
     if (!config_.shadow_copies || config_.swap_threshold_packets == 0)
         return;
-    if (task.swap_in_flight || task.finalizing || task.swaps_disabled)
+    if (task.swap_in_flight || task.finalizing ||
+        task.state.swaps_disabled || task.swaps_given_up)
         return;
     if (task.packets_since_swap < config_.swap_threshold_packets)
         return;
     task.swap_in_flight = true;
-    task.swap_target = task.committed_epoch + 1;
+    task.swap_target = task.state.committed_epoch + 1;
     task.swap_tries = 0;
     ++stats_.swap_requests;
     send_swap(task.id);
@@ -1133,7 +1099,7 @@ AskDaemon::send_swap(TaskId task_id)
         ++chaos_.swap_giveups;
         warn(name(), ": disabling shadow-copy swaps for task ", task_id,
              " after ", task.swap_tries, " attempts");
-        task.swaps_disabled = true;
+        task.swaps_given_up = true;
         task.swap_in_flight = false;
         if (task.finalize_pending)
             maybe_finalize(task);
@@ -1216,19 +1182,10 @@ AskDaemon::complete_swap(ReceiveTask& task)
                 r.kind = WalRecordKind::kRxSwapCommit;
                 r.task = task_id;
                 r.seq = t.swap_target;
-                r.kvs.reserve(fetched.size());
-                for (const auto& f : fetched)
-                    r.kvs.emplace_back(
-                        f.key, static_cast<std::uint64_t>(f.value));
-                wal_.append(r);
+                journal(t, r, fetched);
                 stats_.fetch_tuples += fetched.size();
-                t.report.tuples_fetched_from_switch += fetched.size();
-                // Switch registers hold lifted partials: combine only.
-                merge_stream_into(t.local, fetched, t.op);
-                t.committed_epoch = t.swap_target;
                 t.packets_since_swap = 0;
                 t.swap_in_flight = false;
-                ++t.report.swaps;
                 if (t.finalize_pending)
                     maybe_finalize(t);
             },
@@ -1240,7 +1197,7 @@ AskDaemon::complete_swap(ReceiveTask& task)
                 if (t.generation != gen)
                     return;
                 ++chaos_.swap_giveups;
-                t.swaps_disabled = true;
+                t.swaps_given_up = true;
                 t.swap_in_flight = false;
                 if (t.finalize_pending)
                     maybe_finalize(t);
@@ -1251,7 +1208,7 @@ AskDaemon::complete_swap(ReceiveTask& task)
 void
 AskDaemon::maybe_finalize(ReceiveTask& task)
 {
-    if (task.fins.size() < task.expected_senders)
+    if (task.state.fins.size() < task.state.expected_senders)
         return;
     if (task.swap_in_flight) {
         task.finalize_pending = true;
@@ -1289,14 +1246,18 @@ AskDaemon::finalize(ReceiveTask& task)
                 if (t.generation != gen)
                     return;
 
+                // The final drain completes the result; it is not a
+                // journaled transition (kRxTaskDone follows at once).
+                AggregateMap result = std::move(t.state.local);
+                std::uint64_t drained = 0;
                 for (std::uint32_t copy = 0;
                      copy < (config_.shadow_copies ? 2u : 1u); ++copy) {
                     KvStream fetched =
                         controller_.fetch(task_id, copy, /*clear=*/true);
                     stats_.fetch_tuples += fetched.size();
-                    t.report.tuples_fetched_from_switch += fetched.size();
+                    drained += fetched.size();
                     // Switch registers hold lifted partials: combine only.
-                    merge_stream_into(t.local, fetched, t.op);
+                    merge_stream_into(result, fetched, t.state.op);
                 }
                 try {
                     controller_.release(task_id);
@@ -1305,26 +1266,11 @@ AskDaemon::finalize(ReceiveTask& task)
                     // the region; the result is complete either way.
                     warn(name(), ": finalize release: ", e.what());
                 }
-
-                if (t.liveness_timer != sim::kInvalidEvent) {
-                    simulator().cancel(t.liveness_timer);
-                    t.liveness_timer = sim::kInvalidEvent;
-                }
-                t.report.finish_time = simulator().now();
                 ASK_TRACE(tracer_, simulator().now(), task_id, 0, 0,
                           obs::TraceStage::kFinalize,
-                          t.report.packets_received);
-                WalRecord r;
-                r.kind = WalRecordKind::kRxTaskDone;
-                r.task = task_id;
-                r.arg0 = static_cast<std::uint32_t>(TaskStatus::kOk);
-                wal_.append(r);
-                TaskDoneFn on_done = std::move(t.on_done);
-                AggregateMap result = std::move(t.local);
-                TaskReport report = std::move(t.report);
-                rx_tasks_.erase(it);
-                if (on_done)
-                    on_done(std::move(result), std::move(report));
+                          t.state.packets_received);
+                end_receive_task(t, TaskStatus::kOk, {}, std::move(result),
+                                 drained);
             },
             [this, task_id, gen] {
                 auto it = rx_tasks_.find(task_id);
@@ -1346,7 +1292,7 @@ AskDaemon::arm_liveness(TaskId task_id)
     if (it == rx_tasks_.end())
         return;
     ReceiveTask& t = it->second;
-    sim::SimTime deadline = t.last_activity + t.liveness_timeout_ns;
+    sim::SimTime deadline = t.last_activity + t.liveness_timeout();
     t.liveness_timer = simulator().schedule_at(deadline, [this, task_id] {
         auto jt = rx_tasks_.find(task_id);
         if (jt == rx_tasks_.end())
@@ -1355,7 +1301,7 @@ AskDaemon::arm_liveness(TaskId task_id)
         t.liveness_timer = sim::kInvalidEvent;
         if (t.finalizing)
             return;  // the result fetch is already under way
-        sim::SimTime deadline = t.last_activity + t.liveness_timeout_ns;
+        sim::SimTime deadline = t.last_activity + t.liveness_timeout();
         if (simulator().now() < deadline) {
             arm_liveness(task_id);  // activity since: re-arm lazily
             return;
@@ -1364,8 +1310,52 @@ AskDaemon::arm_liveness(TaskId task_id)
         fail_receive_task(
             task_id, TaskStatus::kSenderTimeout,
             strf("sender liveness timeout: heard FINs from %zu of %u senders",
-                 t.fins.size(), t.expected_senders));
+                 t.state.fins.size(), t.state.expected_senders));
     });
+}
+
+void
+AskDaemon::journal(ReceiveTask& task, const WalRecord& r)
+{
+    wal_.append(r);
+    apply_rx_record(task.state, r);
+}
+
+void
+AskDaemon::journal(ReceiveTask& task, const WalRecord& r, const KvStream& kvs)
+{
+    wal_.append(r, kvs);
+    apply_rx_record(task.state, r, kvs);
+}
+
+void
+AskDaemon::end_receive_task(ReceiveTask& t, TaskStatus status,
+                            std::string detail, AggregateMap result,
+                            std::uint64_t drained)
+{
+    if (t.swap_timer != sim::kInvalidEvent)
+        simulator().cancel(t.swap_timer);
+    if (t.liveness_timer != sim::kInvalidEvent)
+        simulator().cancel(t.liveness_timer);
+    WalRecord r;
+    r.kind = WalRecordKind::kRxTaskDone;
+    r.task = t.id;
+    r.arg0 = static_cast<std::uint32_t>(status);
+    wal_.append(r);
+    TaskReport report;
+    report.start_time = static_cast<sim::SimTime>(t.state.start_time);
+    report.finish_time = simulator().now();
+    report.tuples_aggregated_locally = t.state.tuples_aggregated_locally;
+    report.tuples_fetched_from_switch =
+        t.state.tuples_fetched_from_switch + drained;
+    report.packets_received = t.state.packets_received;
+    report.swaps = t.state.swaps;
+    report.status = status;
+    report.detail = std::move(detail);
+    TaskDoneFn on_done = std::move(t.on_done);
+    rx_tasks_.erase(r.task);
+    if (on_done)
+        on_done(std::move(result), std::move(report));
 }
 
 void
@@ -1375,24 +1365,8 @@ AskDaemon::fail_receive_task(TaskId task_id, TaskStatus status,
     auto it = rx_tasks_.find(task_id);
     if (it == rx_tasks_.end())
         return;
-    ReceiveTask& t = it->second;
     warn(name(), ": receive task ", task_id, " failed (",
          task_status_name(status), "): ", detail);
-    if (t.swap_timer != sim::kInvalidEvent)
-        simulator().cancel(t.swap_timer);
-    if (t.liveness_timer != sim::kInvalidEvent)
-        simulator().cancel(t.liveness_timer);
-    t.report.finish_time = simulator().now();
-    t.report.status = status;
-    t.report.detail = std::move(detail);
-    WalRecord r;
-    r.kind = WalRecordKind::kRxTaskDone;
-    r.task = task_id;
-    r.arg0 = static_cast<std::uint32_t>(status);
-    wal_.append(r);
-    TaskDoneFn on_done = std::move(t.on_done);
-    TaskReport report = std::move(t.report);
-    rx_tasks_.erase(it);
     // Best-effort region release; under a permanent management outage
     // the region is abandoned (the journal still records it). A crash
     // racing the RPC may have released it already: swallow the typed
@@ -1404,8 +1378,7 @@ AskDaemon::fail_receive_task(TaskId task_id, TaskStatus status,
             warn(name(), ": release after failure: ", e.what());
         }
     });
-    if (on_done)
-        on_done(AggregateMap{}, std::move(report));
+    end_receive_task(it->second, status, std::move(detail));
 }
 
 void
@@ -1420,19 +1393,15 @@ AskDaemon::prepare_replay(TaskId task_id, sim::SimTime drain_until)
     r.task = task_id;
     r.kvs.emplace_back("drain_until",
                        static_cast<std::uint64_t>(drain_until));
-    wal_.append(r);
+    // The register wipe rewound swap_epoch to 0; the reset mirrors it
+    // host-side and keeps the task's swap policy.
+    journal(t, r);
     ++t.generation;  // scheduled fetch/finalize callbacks are now void
-    t.local.clear();
-    t.fins.clear();
-    t.report.tuples_aggregated_locally = 0;
-    t.report.tuples_fetched_from_switch = 0;
     t.packets_since_swap = 0;
-    // The register wipe rewound swap_epoch to 0; mirror it host-side.
-    t.committed_epoch = 0;
     t.swap_in_flight = false;
     t.swap_target = 0;
     t.swap_tries = 0;
-    t.swaps_disabled = false;
+    t.swaps_given_up = false;
     if (t.swap_timer != sim::kInvalidEvent) {
         simulator().cancel(t.swap_timer);
         t.swap_timer = sim::kInvalidEvent;
@@ -1494,39 +1463,26 @@ AskDaemon::recover_from_wal(
     // on_complete callback is needed to re-drive delivery.
     sends_ = std::move(state.sends);
 
-    // Receive tasks: partial aggregate, FIN set, seen windows (replayed
-    // observation by observation, so post-restart retransmissions stay
-    // duplicates), swap epoch, and the completion callback re-supplied
-    // by the cluster.
+    // Receive tasks: the folded durable state moves in whole; the seen
+    // windows are replayed observation by observation (so post-restart
+    // retransmissions stay duplicates), and the completion callback is
+    // re-supplied by the cluster.
     std::uint32_t rebuilt = 0;
     sim::SimTime now = simulator().now();
     for (auto& [task_id, ws] : state.rx_tasks) {
         ReceiveTask rx;
         rx.id = task_id;
-        rx.op = ws.op;
-        rx.expected_senders = ws.expected_senders;
-        rx.swaps_disabled = ws.swaps_disabled;
-        rx.local = std::move(ws.local);
-        for (std::uint32_t f : ws.fins)
-            rx.fins.insert(static_cast<ChannelId>(f));
         rx.on_done = make_done ? make_done(task_id) : nullptr;
-        rx.report.start_time = static_cast<sim::SimTime>(ws.start_time);
-        rx.report.tuples_aggregated_locally = ws.tuples_aggregated_locally;
-        rx.report.tuples_fetched_from_switch =
-            ws.tuples_fetched_from_switch;
-        rx.report.packets_received = ws.packets_received;
-        rx.report.swaps = ws.swaps;
-        rx.committed_epoch = ws.committed_epoch;
         // Strictly above anything the dead process handed out: its
         // scheduled swap/finalize callbacks are void on arrival.
         rx.generation = ws.generation;
-        rx.liveness_timeout_ns =
-            static_cast<Nanoseconds>(ws.liveness_ns);
         rx.restarting_until = std::max(
             now, static_cast<sim::SimTime>(ws.restart_drain_until));
         rx.last_activity = rx.restarting_until;
-        for (const auto& [chan, seq] : ws.observed)
-            window_for(rx, static_cast<ChannelId>(chan)).observe(seq);
+        for (const auto& [chan, seq] : std::exchange(ws.observed, {}))
+            rx.windows.try_emplace(static_cast<ChannelId>(chan), config_.window)
+                .first->second.observe(seq);
+        rx.state = std::move(ws);
 
         auto [it, inserted] = rx_tasks_.emplace(task_id, std::move(rx));
         ASK_ASSERT(inserted, "recovered task ", task_id, " twice");
@@ -1537,14 +1493,15 @@ AskDaemon::recover_from_wal(
         // retired copy never drained — finish the drain now.
         std::optional<std::uint32_t> switch_epoch =
             controller_.current_epoch(task_id);
-        if (switch_epoch.has_value() && *switch_epoch > t.committed_epoch) {
+        if (switch_epoch.has_value() &&
+            *switch_epoch > t.state.committed_epoch) {
             t.swap_in_flight = true;
             t.swap_target = *switch_epoch;
             t.swap_tries = 0;
             complete_swap(t);
         }
 
-        if (t.liveness_timeout_ns > 0)
+        if (t.liveness_timeout() > 0)
             arm_liveness(task_id);
         // The crash may have interrupted the window between the last
         // FIN and the finalize fetch; re-drive it.

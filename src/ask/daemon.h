@@ -25,7 +25,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -204,7 +203,6 @@ class DataChannel
      */
     sim::SimTime charge_background(Nanoseconds cost);
 
-    sim::SimTime core_busy_until() const { return core_busy_; }
     sim::SimTime background_busy_until() const { return background_busy_; }
     std::uint64_t busy_ns() const { return busy_ns_; }
 
@@ -417,8 +415,10 @@ class AskDaemon : public net::Node
 
     /**
      * Receiver-side reset of a task whose switch state was wiped:
-     * clears the partial aggregate, FIN set, and swap state (register
-     * contents are gone, so senders replay from scratch), and drops
+     * journals kRxReset, which clears the partial aggregate, FIN set,
+     * swap epoch and report counters (register contents are gone, so
+     * senders replay from scratch) and keeps the task's swap policy;
+     * clears the swap bookkeeping of this life, and drops
      * this task's traffic until `drain_until` so pre-crash packets
      * still in the fabric cannot be double-counted. Receive windows are
      * kept — they are gap-tolerant, and replayed sequence numbers
@@ -478,7 +478,7 @@ class AskDaemon : public net::Node
     /** Does this host hold a replayable (journaled, not forgotten)
      *  send for `task`? (Used by the cluster to decide whether a
      *  crashed host was a sender.) */
-    bool has_send_archive(TaskId task) const
+    bool has_replayable_send(TaskId task) const
     {
         return sends_.count(task) != 0;
     }
@@ -515,45 +515,53 @@ class AskDaemon : public net::Node
     struct ReceiveTask
     {
         TaskId id = 0;
-        /** Resolved reduction operator: the fold every local aggregate
-         *  and fetched partial of this task goes through, and the op id
-         *  arriving frames must carry. */
-        ReduceOp op = ReduceOp::kAdd;
-        std::uint32_t expected_senders = 0;
-        std::set<ChannelId> fins;
-        AggregateMap local;
+        /** Durable state; only journal() changes it. */
+        WalRxTaskState state;
         std::unordered_map<ChannelId, HostReceiveWindow> windows;
         TaskDoneFn on_done;
-        TaskReport report;
 
         std::uint64_t packets_since_swap = 0;
-        std::uint32_t committed_epoch = 0;
         bool swap_in_flight = false;
         std::uint32_t swap_target = 0;
         std::uint32_t swap_tries = 0;
-        bool swaps_disabled = false;
+        /** Swap path dead in this life (the policy is in state). */
+        bool swaps_given_up = false;
         sim::EventId swap_timer = sim::kInvalidEvent;
         bool finalize_pending = false;
         bool finalizing = false;
 
-        /** Bumped by prepare_replay/failure: scheduled fetch/finalize
-         *  callbacks from the previous life must not touch the task. */
+        /** Bumped by prepare_replay: scheduled fetch/finalize callbacks
+         *  from the previous life must not touch the task. */
         std::uint64_t generation = 0;
         /** Recovery drain guard: drop this task's traffic until then. */
         sim::SimTime restarting_until = 0;
         /** Last DATA/FIN arrival (sender-liveness timeout). */
         sim::SimTime last_activity = 0;
         sim::EventId liveness_timer = sim::kInvalidEvent;
-        /** Effective liveness timeout (TaskOptions override resolved
-         *  against the config default); 0 = disabled. */
-        Nanoseconds liveness_timeout_ns = 0;
+
+        /** Effective liveness timeout; 0 = disabled. */
+        Nanoseconds liveness_timeout() const
+        {
+            return static_cast<Nanoseconds>(state.liveness_ns);
+        }
     };
+
+    /** Append receiver record `r` (tuples `kvs`), then apply it to
+     *  `task`'s durable state. */
+    void journal(ReceiveTask& task, const WalRecord& r);
+    void journal(ReceiveTask& task, const WalRecord& r, const KvStream& kvs);
+
+    /** Cancel `t`'s timers, journal kRxTaskDone, erase it and hand
+     *  on_done `result` with a report read off its state (plus the
+     *  `drained` tuples of the final fetch). */
+    void end_receive_task(ReceiveTask& t, TaskStatus status,
+                          std::string detail, AggregateMap result = {},
+                          std::uint64_t drained = 0);
 
     /** Charge work to the control-channel thread (fetches, setup). */
     sim::SimTime charge_control(Nanoseconds cost);
 
-    void dispatch_to_sender_channel(const AskHeader& hdr,
-                                    const net::Packet& pkt);
+    void dispatch_to_sender_channel(const AskHeader& hdr);
     /** DATA and LONG_DATA alike: receive-window dedup per (channel,
      *  seq), then host-side aggregation. */
     void handle_data(net::Packet&& pkt, const AskHeader& hdr);
@@ -563,7 +571,7 @@ class AskDaemon : public net::Node
     void process_data(ReceiveTask& task, const net::Packet& pkt,
                       const AskHeader& hdr, DataChannel& ch);
     void send_ack_to(net::NodeId sender, const AskHeader& data_hdr);
-    void maybe_start_swap(ReceiveTask& task, DataChannel& ch);
+    void maybe_start_swap(ReceiveTask& task);
     void send_swap(TaskId task_id);
     void complete_swap(ReceiveTask& task);
     void maybe_finalize(ReceiveTask& task);
@@ -576,8 +584,6 @@ class AskDaemon : public net::Node
      *  (receive path, and degraded-mode conversion to bypass frames). */
     KvStream tuples_from_data_frame(const std::vector<std::uint8_t>& frame,
                                     std::uint64_t mask) const;
-
-    HostReceiveWindow& window_for(ReceiveTask& task, ChannelId channel);
 
     AskConfig config_;
     KeySpace key_space_;

@@ -94,13 +94,13 @@ class Reader
 };
 
 /** Key and value of a journaled kv, from either container. */
-std::pair<std::string_view, std::uint64_t>
+std::pair<const Key&, std::uint64_t>
 kv_of(const std::pair<std::string, std::uint64_t>& kv)
 {
     return {kv.first, kv.second};
 }
 
-std::pair<std::string_view, std::uint64_t>
+std::pair<const Key&, std::uint64_t>
 kv_of(const KvTuple& t)
 {
     return {t.key, t.value};
@@ -198,6 +198,62 @@ kv_scalar_or(const WalRecord& r, std::string_view name,
         if (key == name)
             return value;
     return fallback;
+}
+
+/** apply_rx_record over either kvs container (named scalars of a start
+ *  or reset always travel in `r.kvs`). */
+template <typename Kvs>
+void
+apply_rx(WalRxTaskState& t, const WalRecord& r, const Kvs& kvs)
+{
+    // Combine-only: journaled tuples were lifted at the sender, and
+    // fetched registers hold lifted partials.
+    auto combine = [&t, &kvs] {
+        for (const auto& kv : kvs) {
+            auto [key, value] = kv_of(kv);
+            accumulate(t.local, key, value, t.op);
+        }
+        return static_cast<std::uint64_t>(kvs.size());
+    };
+    switch (r.kind) {
+      case WalRecordKind::kRxTaskStart: {
+        auto op = static_cast<ReduceOp>(
+            kv_scalar_or(r, "op", static_cast<std::uint64_t>(t.op)));
+        t = WalRxTaskState{};
+        t.expected_senders = r.arg0;
+        t.swaps_disabled = r.arg1 != 0;
+        t.op = op;
+        t.liveness_ns = kv_scalar(r, "liveness_ns");
+        t.start_time = kv_scalar(r, "start_time");
+        break;
+      }
+      case WalRecordKind::kRxData:
+        t.tuples_aggregated_locally += combine();
+        ++t.packets_received;
+        break;
+      case WalRecordKind::kRxFin:
+        t.fins.insert(r.channel);
+        break;
+      case WalRecordKind::kRxSwapCommit:
+        t.tuples_fetched_from_switch += combine();
+        t.committed_epoch = r.seq;
+        ++t.swaps;
+        break;
+      case WalRecordKind::kRxReset:
+        // The registers were wiped and the senders replay from scratch;
+        // the task's parameters, its swap policy included, stay.
+        t.local.clear();
+        t.fins.clear();
+        t.committed_epoch = 0;
+        t.tuples_aggregated_locally = 0;
+        t.tuples_fetched_from_switch = 0;
+        t.packets_received = 0;
+        t.swaps = 0;
+        break;
+      default:
+        ASK_ASSERT(false, "not a receive-task record: ",
+                   wal_record_kind_name(r.kind));
+    }
 }
 
 }  // namespace
@@ -465,6 +521,19 @@ WalStore::describe() const
     return d;
 }
 
+void
+apply_rx_record(WalRxTaskState& state, const WalRecord& header,
+                const KvStream& kvs)
+{
+    apply_rx(state, header, kvs);
+}
+
+void
+apply_rx_record(WalRxTaskState& state, const WalRecord& record)
+{
+    apply_rx(state, record, record.kvs);
+}
+
 WalDaemonState
 rebuild_daemon_state(const std::vector<WalRecord>& records,
                      ReduceOp default_op)
@@ -477,67 +546,28 @@ rebuild_daemon_state(const std::vector<WalRecord>& records,
         switch (r.kind) {
           case WalRecordKind::kRxTaskStart: {
             WalRxTaskState& t = state.rx_tasks[r.task];
-            t = WalRxTaskState{};
-            t.expected_senders = r.arg0;
-            t.swaps_disabled = r.arg1 != 0;
-            t.op = static_cast<ReduceOp>(kv_scalar_or(
-                r, "op", static_cast<std::uint64_t>(default_op)));
-            t.liveness_ns = kv_scalar(r, "liveness_ns");
-            t.start_time = kv_scalar(r, "start_time");
+            t.op = default_op;
+            apply_rx_record(t, r);
             resets[r.task] = 0;
             break;
           }
-          case WalRecordKind::kRxData: {
-            auto it = state.rx_tasks.find(r.task);
-            if (it == state.rx_tasks.end())
-                break;
-            WalRxTaskState& t = it->second;
-            t.observed.emplace_back(r.channel, r.seq);
-            // Combine-only: journaled tuples were lifted at the sender.
-            for (const auto& [key, value] : r.kvs) {
-                accumulate(t.local, key, value, t.op);
-                ++t.tuples_aggregated_locally;
-            }
-            ++t.packets_received;
-            break;
-          }
-          case WalRecordKind::kRxFin: {
-            auto it = state.rx_tasks.find(r.task);
-            if (it != state.rx_tasks.end())
-                it->second.fins.insert(r.channel);
-            break;
-          }
-          case WalRecordKind::kRxSwapCommit: {
-            auto it = state.rx_tasks.find(r.task);
-            if (it == state.rx_tasks.end())
-                break;
-            WalRxTaskState& t = it->second;
-            // Fetched registers are lifted partials: combine only.
-            for (const auto& [key, value] : r.kvs) {
-                accumulate(t.local, key, value, t.op);
-                ++t.tuples_fetched_from_switch;
-            }
-            t.committed_epoch = r.seq;
-            ++t.swaps;
-            break;
-          }
+          case WalRecordKind::kRxData:
+          case WalRecordKind::kRxFin:
+          case WalRecordKind::kRxSwapCommit:
           case WalRecordKind::kRxReset: {
             auto it = state.rx_tasks.find(r.task);
             if (it == state.rx_tasks.end())
                 break;
             WalRxTaskState& t = it->second;
-            // A reset wipes the partial aggregate and progress counters
-            // for a full replay but keeps the observed seqs: the seen
-            // windows survive a reboot-replay on the live daemon too.
-            t.local.clear();
-            t.fins.clear();
-            t.committed_epoch = 0;
-            t.tuples_aggregated_locally = 0;
-            t.tuples_fetched_from_switch = 0;
-            t.packets_received = 0;
-            t.swaps = 0;
-            t.restart_drain_until = kv_scalar(r, "drain_until");
-            ++resets[r.task];
+            apply_rx_record(t, r);
+            // The fold-only fields: the seen-window history (it survives
+            // a reset, like the live windows) and the drain deadline.
+            if (r.kind == WalRecordKind::kRxData) {
+                t.observed.emplace_back(r.channel, r.seq);
+            } else if (r.kind == WalRecordKind::kRxReset) {
+                t.restart_drain_until = kv_scalar(r, "drain_until");
+                ++resets[r.task];
+            }
             break;
           }
           case WalRecordKind::kRxTaskDone:

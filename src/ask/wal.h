@@ -28,7 +28,8 @@
  *
  * rebuild_daemon_state() is the pure fold from a record sequence to
  * the daemon-visible state (partial aggregates, fin sets, observed
- * seqs, live send records, seq checkpoints). Keeping it pure makes the
+ * seqs, live send records, seq checkpoints); apply_rx_record() is the
+ * per-task step it shares with the live daemon. Keeping it pure makes the
  * recovery-idempotence property directly testable: folding the same
  * log twice must produce operator==-identical state.
  */
@@ -254,7 +255,9 @@ class WalStore
 
 // ---- pure state rebuild ----------------------------------------------------
 
-/** Rebuilt receiver-task state (one live ReceiveTask's durable core). */
+/** A receive task's durable state, changed only by apply_rx_record (the
+ *  live ReceiveTask's core). observed, generation and
+ *  restart_drain_until are the fold's own. */
 struct WalRxTaskState
 {
     std::uint32_t expected_senders = 0;
@@ -283,6 +286,17 @@ struct WalRxTaskState
 
     bool operator==(const WalRxTaskState&) const = default;
 };
+
+/**
+ * The one transition of a receive task's durable state, run by the live
+ * daemon after each append and by the fold: apply a kRxTaskStart (the
+ * preset op stands only if the record names none), kRxData, kRxFin,
+ * kRxSwapCommit or kRxReset (keeps the task's parameters, swap policy
+ * included). The stream form takes the record's tuples from `kvs`.
+ */
+void apply_rx_record(WalRxTaskState& state, const WalRecord& record);
+void apply_rx_record(WalRxTaskState& state, const WalRecord& header,
+                     const KvStream& kvs);
 
 /** Everything a daemon restart rebuilds from its WAL. */
 struct WalDaemonState

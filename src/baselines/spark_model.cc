@@ -7,20 +7,6 @@
 
 namespace ask::baselines {
 
-const char*
-spark_variant_name(SparkVariant v)
-{
-    switch (v) {
-      case SparkVariant::kVanilla:
-        return "Spark";
-      case SparkVariant::kShm:
-        return "SparkSHM";
-      case SparkVariant::kRdma:
-        return "SparkRDMA";
-    }
-    return "?";
-}
-
 double
 spark_mapper_ns_per_tuple(SparkVariant v)
 {

@@ -23,8 +23,6 @@ enum class SparkVariant : std::uint8_t
     kRdma,     ///< SparkRDMA: network I/O acceleration
 };
 
-const char* spark_variant_name(SparkVariant v);
-
 /** One WordCount-style job (Figures 10 and 11). */
 struct SparkJobSpec
 {

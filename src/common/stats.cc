@@ -1,7 +1,6 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.h"
 
@@ -25,12 +24,6 @@ RunningStat::variance() const
     if (n_ < 2)
         return 0.0;
     return m2_ / static_cast<double>(n_ - 1);
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
 }
 
 void

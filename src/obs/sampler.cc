@@ -35,7 +35,6 @@ Sampler::maybe_sample(sim::SimTime now)
         sim::SimTime stamp = next_sample_;
         for (Probe& p : probes_)
             p.series->record(stamp, p.fn(stamp));
-        ++samples_taken_;
         next_sample_ += interval_ns_;
     }
 }

@@ -41,7 +41,6 @@ class Sampler
                    std::function<double(sim::SimTime)> fn);
 
     Nanoseconds interval_ns() const { return interval_ns_; }
-    std::uint64_t samples_taken() const { return samples_taken_; }
 
   private:
     void maybe_sample(sim::SimTime now);
@@ -50,7 +49,6 @@ class Sampler
     MetricsRegistry& registry_;
     Nanoseconds interval_ns_;
     sim::SimTime next_sample_ = 0;
-    std::uint64_t samples_taken_ = 0;
 
     struct Probe
     {

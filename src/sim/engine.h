@@ -68,14 +68,6 @@ class ParallelEngine
      *  to an AskCluster (the external-simulator constructor). */
     Simulator& island(IslandId id) { return *islands_.at(id).sim; }
 
-    const std::string& island_name(IslandId id) const
-    {
-        return islands_.at(id).name;
-    }
-    std::uint32_t num_islands() const
-    {
-        return static_cast<std::uint32_t>(islands_.size());
-    }
     unsigned num_threads() const { return options_.num_threads; }
 
     /**

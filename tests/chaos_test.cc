@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,8 @@
 #include "common/hash.h"
 #include "common/random.h"
 #include "sim/chaos.h"
+#include "testing/differential.h"
+#include "testing/scenario.h"
 
 namespace ask::core {
 namespace {
@@ -737,6 +740,233 @@ TEST(Chaos, CrashAfterDrainRecoversToEmptyState)
     EXPECT_TRUE(state.rx_tasks.empty());
     EXPECT_TRUE(state.sends.empty());
     EXPECT_EQ(state.recoveries, 1u);
+}
+
+
+// ---------------------------------------------------------------------------
+// One receive-task state machine: a reset applies the journaled kRxReset
+// transition, so it keeps the task's swap policy and restarts the report
+// counters exactly as the WAL fold does.
+// ---------------------------------------------------------------------------
+
+/** Run task 1 (receiver host 0) with a switch reboot at `reboot_at`. */
+TaskResult
+run_with_reboot(AskCluster& cluster, const std::vector<StreamSpec>& streams,
+                sim::SimTime reboot_at, const TaskOptions& options = {})
+{
+    sim::ChaosPlan plan;
+    plan.switch_reboot(reboot_at, 200 * kMicrosecond);
+    cluster.arm_chaos(plan);
+    return cluster.run_task(1, 0, streams, options);
+}
+
+TEST(Chaos, SwapDisabledTaskNeverSwapsAcrossARebootReset)
+{
+    ClusterConfig cc = base_config();
+    cc.seed = 151;
+    cc.ask.swap_threshold_packets = 4;
+    std::vector<StreamSpec> streams = two_streams(151, 1200);
+    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    sim::SimTime mid = undisturbed_finish_time(cc, streams) / 2;
+
+    AskCluster cluster(cc);
+    TaskResult r = run_with_reboot(
+        cluster, streams, mid,
+        {.swap_policy = TaskOptions::SwapPolicy::kDisabled});
+    ASSERT_TRUE(r.ok()) << r.report.detail;
+    EXPECT_EQ(r.result, truth);
+    EXPECT_EQ(cluster.chaos_stats().tasks_reset, 1u);
+    EXPECT_EQ(r.report.swaps, 0u);
+    EXPECT_EQ(cluster.total_host_stats().swap_requests, 0u);
+    EXPECT_EQ(cluster.total_switch_stats().swaps, 0u);
+}
+
+TEST(Chaos, FabricTaskNeverSwapsAcrossARebootReset)
+{
+    // A multi-rack fabric forces kDisabled on every task; a ToR reboot
+    // resets the receiver, and the policy must survive that reset.
+    ClusterConfig cc = base_config();
+    cc.topology = TopologyBuilder().racks(2, 2).build();
+    cc.ask.max_hosts = 4;
+    cc.ask.channels_per_host = 2;
+    cc.ask.swap_threshold_packets = 4;
+    cc.seed = 157;
+    Rng rng = seeded_rng("chaos_test", 157);
+    std::vector<StreamSpec> streams{{1, mixed_stream(rng, 1200, 60)},
+                                    {2, mixed_stream(rng, 1200, 60)},
+                                    {3, mixed_stream(rng, 1200, 60)}};
+    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    sim::SimTime mid = undisturbed_finish_time(cc, streams) / 2;
+
+    AskCluster cluster(cc);
+    TaskResult r = run_with_reboot(cluster, streams, mid);
+    ASSERT_TRUE(r.ok()) << r.report.detail;
+    EXPECT_EQ(r.result, truth);
+    EXPECT_EQ(cluster.chaos_stats().tasks_reset, 1u);
+    EXPECT_EQ(r.report.swaps, 0u);
+    EXPECT_EQ(cluster.total_host_stats().swap_requests, 0u);
+    EXPECT_EQ(cluster.total_switch_stats().swaps, 0u);
+}
+
+TEST(Chaos, ResetTaskReportMatchesTheFoldOfItsLog)
+{
+    ClusterConfig cc = base_config();
+    cc.seed = 163;
+    cc.ask.swap_threshold_packets = 16;
+    std::vector<StreamSpec> streams = two_streams(163, 1500);
+    AggregateMap truth = truth_of(streams, AggOp::kAdd);
+    sim::SimTime mid = undisturbed_finish_time(cc, streams) / 2;
+    sim::SimTime reboot_end = mid + 200 * kMicrosecond;
+
+    AskCluster cluster(cc);
+    // The reset runs at the end of the reboot; every switch fetch of the
+    // task's new life comes after this snapshot.
+    std::uint64_t fetched_before_reset = 0;
+    std::uint64_t packets_before_reset = 0;
+    cluster.simulator().schedule_at(reboot_end + 1, [&] {
+        fetched_before_reset = cluster.total_host_stats().fetch_tuples;
+        packets_before_reset = cluster.total_host_stats().packets_received;
+    });
+    std::vector<WalRecord> log;
+    std::uint64_t fetched_at_done = 0;
+    sim::ChaosPlan plan;
+    plan.switch_reboot(mid, 200 * kMicrosecond);
+    cluster.arm_chaos(plan);
+    TaskResult r;
+    cluster.submit_task(1, 0, streams, {},
+                        [&](AggregateMap result, TaskReport report) {
+                            r.result = std::move(result);
+                            r.report = std::move(report);
+                            log = cluster.wal_store().host_wal(0).replay();
+                            fetched_at_done =
+                                cluster.total_host_stats().fetch_tuples;
+                        });
+    cluster.run();
+    ASSERT_TRUE(r.ok()) << r.report.detail;
+    EXPECT_EQ(r.result, truth);
+    ASSERT_EQ(cluster.chaos_stats().tasks_reset, 1u);
+    ASSERT_GT(packets_before_reset, 0u);
+
+    // Fold the receiver's log up to (not including) the task's done
+    // record: the state the report was read from.
+    auto done = std::find_if(log.begin(), log.end(), [](const WalRecord& w) {
+        return w.kind == WalRecordKind::kRxTaskDone && w.task == 1;
+    });
+    ASSERT_NE(done, log.end());
+    WalDaemonState state = rebuild_daemon_state(
+        std::vector<WalRecord>(log.begin(), done), cc.ask.op);
+    const WalRxTaskState& t = state.rx_tasks.at(1);
+    EXPECT_GT(t.packets_received, 0u);
+    EXPECT_GT(t.swaps, 0u);
+    EXPECT_EQ(r.report.tuples_aggregated_locally, t.tuples_aggregated_locally);
+    EXPECT_EQ(r.report.packets_received, t.packets_received);
+    EXPECT_EQ(r.report.swaps, t.swaps);
+    // The switch-fetched count is the fold's swap-commit drains plus the
+    // final drain, which kRxTaskDone does not journal: together, every
+    // fetch since the reset.
+    EXPECT_GE(r.report.tuples_fetched_from_switch,
+              t.tuples_fetched_from_switch);
+    EXPECT_EQ(r.report.tuples_fetched_from_switch,
+              fetched_at_done - fetched_before_reset);
+}
+
+// ---------------------------------------------------------------------------
+// A send job that fails for good ends its task with the job's status and
+// releases everything the task held.
+// ---------------------------------------------------------------------------
+
+TEST(Chaos, FailedSenderEndsItsTaskWithItsStatus)
+{
+    // One burst-loss window on sender host 0's cable: a bypass frame of
+    // task 1 exhausts max_data_tries, and the receiver must hear of it
+    // instead of waiting for a FIN that never comes.
+    testing::DiffResult d = testing::run_differential(
+        testing::generate_scenario(4758209139717424467ULL));
+    for (const testing::TaskOutcome& t : d.tasks) {
+        EXPECT_TRUE(t.done) << "task " << t.task;
+        EXPECT_EQ(t.status, t.task == 1 ? "send_budget_exhausted" : "ok")
+            << "task " << t.task;
+    }
+    for (const testing::ProbeFailure& p : d.probe_failures)
+        ADD_FAILURE() << p.probe << ": " << p.detail;
+}
+
+// ---------------------------------------------------------------------------
+// Overlapping causes keep the management endpoint dark: it comes back
+// only when no outage window is open, the controller is up and every
+// switch is online.
+// ---------------------------------------------------------------------------
+
+TEST(Chaos, OverlappingOutagesKeepTheManagementPlaneDark)
+{
+    auto down_at = [](const sim::ChaosPlan& inner,
+                      std::vector<sim::SimTime> probes) {
+        AskCluster cluster(base_config());
+        sim::ChaosPlan plan = inner;
+        plan.mgmt_outage(100 * kMicrosecond, 1000 * kMicrosecond);
+        cluster.arm_chaos(plan);
+        std::vector<bool> down(probes.size());
+        for (std::size_t i = 0; i < probes.size(); ++i)
+            cluster.simulator().schedule_at(probes[i], [&, i] {
+                down[i] = cluster.mgmt().down();
+            });
+        cluster.run();
+        return down;
+    };
+    const std::vector<sim::SimTime> probes{600 * kMicrosecond,
+                                           1200 * kMicrosecond};
+    const std::vector<bool> dark_then_up{true, false};
+
+    sim::ChaosPlan controller;
+    controller.controller_crash(200 * kMicrosecond, 100 * kMicrosecond);
+    EXPECT_EQ(down_at(controller, probes), dark_then_up);
+
+    sim::ChaosPlan reboot;
+    reboot.switch_reboot(200 * kMicrosecond, 100 * kMicrosecond);
+    EXPECT_EQ(down_at(reboot, probes), dark_then_up);
+
+    sim::ChaosPlan second;
+    second.mgmt_outage(150 * kMicrosecond, 200 * kMicrosecond);
+    EXPECT_EQ(down_at(second, probes), dark_then_up);
+}
+
+
+TEST(Chaos, AbortWhileTheReceiverIsDownEndsTheRebuiltTask)
+{
+    // The receiver is down when a damaged send record fails the replay:
+    // the task is delivered failed at once, and the receiver, once its
+    // WAL rebuild brings the task back, must end it too (done record,
+    // region released) instead of waiting for senders that are gone.
+    ClusterConfig cc = base_config();
+    cc.seed = 167;
+    std::vector<StreamSpec> streams = two_streams(167, 1000);
+    sim::SimTime mid = undisturbed_finish_time(cc, streams) / 2;
+
+    AskCluster cluster(cc);
+    std::uint32_t free_before = cluster.controller().free_aggregators();
+    sim::ChaosPlan plan;
+    plan.host_crash(mid, 1000 * kMicrosecond, 0);
+    plan.switch_reboot(mid + 100 * kMicrosecond, 200 * kMicrosecond);
+    cluster.arm_chaos(plan);
+    TaskReport report;
+    bool done = false;
+    cluster.submit_task(1, 0, streams, {},
+                        [&](AggregateMap, TaskReport rep) {
+                            report = std::move(rep);
+                            done = true;
+                        });
+    cluster.simulator().schedule_at(mid + 50 * kMicrosecond, [&] {
+        cluster.wal_store().host_wal(1).flip_byte(10);
+    });
+    cluster.run();
+
+    ASSERT_TRUE(done);
+    EXPECT_EQ(report.status, TaskStatus::kHostCrashed) << report.detail;
+    EXPECT_EQ(cluster.chaos_stats().host_recoveries, 1u);
+    WalDaemonState state = rebuild_daemon_state(
+        cluster.wal_store().host_wal(0).replay(), cc.ask.op);
+    EXPECT_TRUE(state.rx_tasks.empty());
+    EXPECT_EQ(cluster.controller().free_aggregators(), free_before);
 }
 
 }  // namespace
